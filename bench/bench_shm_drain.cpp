@@ -67,9 +67,11 @@ DrainResult run_drain(int producers, int events_per_producer, int shards,
   // shard only polls the rings it owns, so the attachments never race.
   std::vector<std::unique_ptr<orca::shm::SegmentReader>> readers;
   for (int s = 0; s < shards; ++s) {
-    auto r = orca::shm::SegmentReader::attach(opts.name);
+    orca::shm::AttachError err;
+    auto r = orca::shm::SegmentReader::attach(opts.name, &err);
     if (r == nullptr) {
-      std::fprintf(stderr, "bench_shm_drain: attach failed\n");
+      std::fprintf(stderr, "bench_shm_drain: attach failed: %s\n",
+                   err.message.c_str());
       std::exit(1);
     }
     readers.push_back(std::move(r));

@@ -15,7 +15,9 @@
 #     so the armed run lives in-process there);
 #   * the perf-smoke lane (bench_event_path --smoke): every event-delivery
 #     mode end to end in ~2s, a sanity check that the benches still run —
-#     not a performance gate.
+#     not a performance gate;
+#   * (default + asan) the load lane: the shm/fleet/chaos suites repeated
+#     next to one busy loop per core.
 # The tsan preset is the one that validates the lock-free event fast path
 # (collector_churn_test and friends must be race-free, see DESIGN.md §5.1)
 # and the SIGPROF signal-storm lane (signal_storm_test).
@@ -58,6 +60,18 @@ for seg in /dev/shm/orca.* /dev/shm/orcatest-* /dev/shm/orcafleet-* \
   fi
 done
 
+# Busy loops of the load lane; the EXIT trap kills whatever is left of
+# them however the script ends (a failing ctest under set -e included).
+load_hogs=()
+stop_load() {
+  if [ ${#load_hogs[@]} -gt 0 ]; then
+    kill "${load_hogs[@]}" 2>/dev/null || true
+    wait "${load_hogs[@]}" 2>/dev/null || true
+  fi
+  load_hogs=()
+}
+trap stop_load EXIT
+
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
   presets=(default tsan asan ubsan)
@@ -97,6 +111,23 @@ for preset in "${presets[@]}"; do
            "build/artifacts/chaos_seeds.txt"
       exit 1
     fi
+  fi
+
+  if [ "$preset" = default ] || [ "$preset" = asan ]; then
+    echo "=== [$preset] load lane ==="
+    # The shm, fleet and chaos suites, each repeated up to 10x, with one
+    # busy loop per core saturating the CPU: races an idle box hides
+    # (segment publication, salvage before the first beat, test teardown
+    # under a failed assertion) show up here. The full suite under load
+    # waits for the SampleBuffer try_lock drops (ROADMAP 1(b)):
+    # integration_pipeline_test still loses samples under contention.
+    for _ in $(seq "$(nproc)"); do
+      ( while :; do :; done ) &
+      load_hogs+=($!)
+    done
+    ctest --preset "$preset" -R 'shm_|fleet|chaos' \
+      --repeat until-fail:10 -j "$(nproc)" --output-on-failure
+    stop_load
   fi
 
   if [ "$preset" = default ]; then

@@ -1,6 +1,5 @@
 #include "shm/exporter.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/mman.h>
@@ -12,7 +11,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <new>
@@ -20,6 +18,7 @@
 
 #include "common/clock.hpp"
 #include "shm/layout.hpp"
+#include "shm/reader.hpp"
 #include "telemetry/telemetry.hpp"
 #include "testing/fault_injection.hpp"
 
@@ -59,8 +58,9 @@ struct TextCursor {
 
 }  // namespace
 
-/// The mapped producer side of one segment. Construction maps + publishes;
-/// destruction finalizes + unlinks. All hot-path members are raw pointers
+/// The mapped producer side of one segment. create() builds it privately
+/// and names it once complete; finalize() closes the books and drops the
+/// name; destruction unmaps. All hot-path members are raw pointers
 /// into the mapping so the publish paths stay signal-safe.
 class ShmExporter {
  public:
@@ -74,14 +74,18 @@ class ShmExporter {
                    "(simulated ENOSPC)\n");
       return nullptr;
     }
-    const std::string path = "/" + opts.name;
-    // O_EXCL: a leftover live segment with our name means a pid collision
-    // or a bug — never silently scribble over someone else's rings.
-    const int fd = ::shm_open(path.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+    // Built nameless, named only once complete: an O_TMPFILE in /dev/shm
+    // has no directory entry until linkat() gives it one, so discovery can
+    // never see a half-built segment, and a producer killed mid-create
+    // leaves nothing behind. linkat fails EEXIST on a taken name, as
+    // O_EXCL would: never silently scribble over someone else's rings.
+    const std::string path = "/dev/shm/" + opts.name;
+    const int fd = ::open("/dev/shm", O_TMPFILE | O_RDWR, 0600);
     if (fd < 0) {
       std::fprintf(stderr,
-                   "ORCA: shm export disabled: shm_open(%s) failed: %s\n",
-                   path.c_str(), std::strerror(errno));
+                   "ORCA: shm export disabled: open(/dev/shm, O_TMPFILE) "
+                   "failed: %s\n",
+                   std::strerror(errno));
       return nullptr;
     }
     const Geometry geo =
@@ -95,22 +99,37 @@ class ShmExporter {
                    static_cast<unsigned long long>(geo.total_bytes),
                    std::strerror(errno));
       ::close(fd);
-      ::shm_unlink(path.c_str());
       return nullptr;
     }
     void* base = ::mmap(nullptr, geo.total_bytes, PROT_READ | PROT_WRITE,
                         MAP_SHARED, fd, 0);
-    ::close(fd);
     if (base == MAP_FAILED) {
       std::fprintf(stderr, "ORCA: shm export disabled: mmap(%s) failed: %s\n",
                    path.c_str(), std::strerror(errno));
-      ::shm_unlink(path.c_str());
+      ::close(fd);
       return nullptr;
     }
-    return new ShmExporter(opts, geo, base);
+    auto* e = new ShmExporter(opts, geo, base);
+    const std::string proc = "/proc/self/fd/" + std::to_string(fd);
+    const int linked = ::linkat(AT_FDCWD, proc.c_str(), AT_FDCWD,
+                                path.c_str(), AT_SYMLINK_FOLLOW);
+    const int link_errno = errno;
+    ::close(fd);
+    if (linked != 0) {
+      std::fprintf(stderr, "ORCA: shm export disabled: linkat(%s) failed: %s\n",
+                   path.c_str(), std::strerror(link_errno));
+      delete e;  // never named: dropping the mapping frees the file
+      return nullptr;
+    }
+    e->heartbeat_ = std::thread([e] { e->heartbeat_loop(); });
+    return e;
   }
 
-  ~ShmExporter() {
+  ~ShmExporter() { ::munmap(base_, geo_.total_bytes); }
+
+  /// Clean shutdown: stop the heartbeat, write the final beat and the
+  /// finalized state, then drop the name.
+  void finalize() {
     {
       std::unique_lock lk(hb_mu_);
       hb_stop_ = true;
@@ -126,12 +145,9 @@ class ShmExporter {
     header_->producer_state.store(
         static_cast<std::uint32_t>(ProducerState::kFinalized),
         std::memory_order_release);
-    // readers_attached is deliberately not consulted anywhere on this
-    // path: a reader that was SIGKILLed (or never decremented) must not
-    // be able to hold the producer's exit hostage. Their mappings survive
-    // the unlink; only the name goes away.
+    // Readers are invisible to the producer, so none can hold its exit
+    // hostage. Their mappings survive the unlink; only the name goes away.
     ::shm_unlink(("/" + name_).c_str());
-    ::munmap(base_, geo_.total_bytes);
   }
 
   const std::string& name() const noexcept { return name_; }
@@ -218,13 +234,17 @@ class ShmExporter {
     event_mask_ = geo.event_capacity - 1;
     sample_mask_ = geo.sample_capacity - 1;
 
-    // Publish: everything a reader needs is in place before ready flips.
+    // Everything a reader needs is in place before ready flips, and the
+    // first snapshot exists before the segment has a name: a producer
+    // SIGKILLed before its first beat still leaves one to salvage.
     header_->producer_state.store(
         static_cast<std::uint32_t>(ProducerState::kActive),
         std::memory_order_release);
     header_->heartbeat_ns.store(SteadyClock::now(), std::memory_order_release);
     header_->ready.store(1, std::memory_order_release);
-    heartbeat_ = std::thread([this] { heartbeat_loop(); });
+    refresh_totals();
+    mirror_telemetry();
+    write_snapshot();
   }
 
   std::uint32_t ring_for(int tid) const noexcept {
@@ -389,6 +409,7 @@ void disarm() {
   // the exchange and the last concurrent publish is covered by the same
   // quiescence argument as telemetry disarm: the runtime destructor joins
   // its workers before calling this, so no instrumented thread survives.
+  dying->finalize();
   delete dying;
 }
 
@@ -421,33 +442,14 @@ void crash_postmortem(int fd) noexcept {
 }
 
 std::size_t cleanup_stale_segments(const std::string& prefix) {
-  if (prefix.empty()) return 0;
-  DIR* dir = ::opendir("/dev/shm");
-  if (dir == nullptr) return 0;
-  const std::string want = prefix + ".";
   std::size_t removed = 0;
-  while (struct dirent* ent = ::readdir(dir)) {
-    const std::string name(ent->d_name);
-    if (name.rfind(want, 0) != 0) continue;
-    // Name shape: <prefix>.<pid>.<seq> — the owner pid is the first field
-    // after the prefix. Anything unparseable is left alone.
-    const std::string rest = name.substr(want.size());
-    const std::size_t dot = rest.find('.');
-    const std::string pid_text = dot == std::string::npos
-                                     ? rest
-                                     : rest.substr(0, dot);
-    if (pid_text.empty() ||
-        pid_text.find_first_not_of("0123456789") != std::string::npos) {
-      continue;
-    }
-    const long pid = std::strtol(pid_text.c_str(), nullptr, 10);
-    if (pid <= 0) continue;
-    if (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH) {
+  for (const SegmentName& seg : discover_segments(prefix)) {
+    if (seg.pid <= 0) continue;
+    if (::kill(static_cast<pid_t>(seg.pid), 0) == 0 || errno != ESRCH) {
       continue;  // owner alive (or undeterminable): not ours to reap
     }
-    if (::shm_unlink(("/" + name).c_str()) == 0) ++removed;
+    if (::shm_unlink(("/" + seg.name).c_str()) == 0) ++removed;
   }
-  ::closedir(dir);
   return removed;
 }
 

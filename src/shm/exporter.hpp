@@ -74,10 +74,11 @@ inline void mirror_sample(int tid, int state, std::uint64_t region) noexcept {
 // ---------------------------------------------------------------------------
 // Process-global arming (refcounted).
 
-/// Arm the process exporter. The first call creates the segment (later
-/// calls just bump the refcount; their options are ignored — one process,
-/// one segment). Returns false when segment creation failed, in which case
-/// the refcount is *not* taken and the runtime runs without export.
+/// Arm the process exporter. The first call creates the segment and gives
+/// it its name only once it is complete (later calls just bump the
+/// refcount; their options are ignored — one process, one segment).
+/// Returns false when segment creation failed, in which case the refcount
+/// is *not* taken and the runtime runs without export.
 bool arm(const ExporterOptions& opts);
 
 /// Balance one successful arm(). The last disarm finalizes the segment
@@ -90,7 +91,7 @@ void disarm();
 std::string armed_segment_name();
 
 /// "<prefix>.<pid>.<seq>" with a process-unique seq, the canonical segment
-/// name shape discover_segments() and the stale-segment reaper parse.
+/// name shape discover_segments() parses (the stale-segment reaper too).
 std::string default_segment_name(const std::string& prefix);
 
 /// Async-signal-safe postmortem: write the crash section into the shm

@@ -42,15 +42,21 @@
 /// the hook stays signal-safe — the SIGPROF sampler publishes through the
 /// same path.
 ///
-/// ## Attach / heartbeat handshake
+/// ## Publication / heartbeat handshake
 ///
-/// `ready` flips 0 -> 1 once the creator finished initializing (release;
-/// readers acquire). Liveness is a sense-reversing pulse: every beat the
-/// producer flips `heartbeat_sense` and stamps `heartbeat_ns`; a reader
-/// watches for the *flip* with its own clock, so no cross-process clock
-/// comparison is needed — a sense that stops flipping for a few intervals
-/// marks the producer suspect, and kill(pid, 0) == ESRCH confirms death.
-/// `producer_state` moves kInitializing -> kActive -> kFinalized on clean
+/// A segment is complete before it has a name: the exporter builds it in a
+/// nameless O_TMPFILE, sets `ready` = 1, writes the first crash snapshot,
+/// and only then links it into /dev/shm. A discovered segment is therefore
+/// never mid-initialization; `ready` == 0 or a short file can only come
+/// from a foreign or hostile creator, and readers reject it as corrupt.
+/// Readers open and map read-only and never write to the segment.
+///
+/// Liveness is a sense-reversing pulse: every beat the producer flips
+/// `heartbeat_sense` and stamps `heartbeat_ns`; a reader watches for the
+/// *flip* with its own clock, so no cross-process clock comparison is
+/// needed — a sense that stops flipping for a few intervals marks the
+/// producer suspect, and kill(pid, 0) == ESRCH confirms death.
+/// A named segment's `producer_state` is kActive, then kFinalized on clean
 /// shutdown; a crash simply stops the pulse.
 #pragma once
 
@@ -66,7 +72,7 @@ inline constexpr std::uint32_t kVersion = 1;
 
 /// Producer lifecycle advertised in the header.
 enum class ProducerState : std::uint32_t {
-  kInitializing = 0,  ///< segment mapped, geometry not yet published
+  kInitializing = 0,  ///< still being built (never visible under a name)
   kActive = 1,        ///< heartbeat running, rings live
   kFinalized = 2,     ///< clean shutdown: rings quiescent, totals final
 };
@@ -193,8 +199,7 @@ struct SegmentHeader {
   std::uint32_t heartbeat_interval_ms;
   std::atomic<std::uint64_t> heartbeat_ns;     ///< producer clock, last beat
   std::atomic<std::uint64_t> heartbeat_beats;
-  std::atomic<std::uint32_t> readers_attached; ///< diagnostics only
-  std::uint32_t pad0;
+  std::uint32_t pad0[2];  ///< reserved; readers never write the segment
   std::atomic<std::uint64_t> events_published; ///< heartbeat-summed tails
   std::atomic<std::uint64_t> samples_published;
 };

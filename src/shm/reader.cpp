@@ -51,7 +51,6 @@ const char* attach_error_kind_name(AttachError::Kind kind) noexcept {
   switch (kind) {
     case AttachError::Kind::kNone: return "none";
     case AttachError::Kind::kNotFound: return "not-found";
-    case AttachError::Kind::kTransient: return "transient";
     case AttachError::Kind::kCorrupt: return "corrupt";
     case AttachError::Kind::kIo: return "io";
   }
@@ -78,17 +77,9 @@ std::unique_ptr<SegmentReader> SegmentReader::attach(const std::string& name,
   if (testing::FaultInjector::alloc_fails(testing::FaultPoint::kShmAttach)) {
     return set_error(err, AttachError::Kind::kIo, "injected attach fault");
   }
-  const std::string path = "/" + name;
-  // Read-only where possible: readers never need to store into the
-  // segment except for the diagnostic readers_attached bump, so a
-  // producer that published its segment unwritable still gets drained —
-  // we just skip the bump. Try RW first (for the counter), fall back.
-  bool writable = true;
-  int fd = ::shm_open(path.c_str(), O_RDWR, 0);
-  if (fd < 0 && (errno == EACCES || errno == EPERM || errno == EROFS)) {
-    writable = false;
-    fd = ::shm_open(path.c_str(), O_RDONLY, 0);
-  }
+  // Read-only, always: readers never store into the segment. Once the fd
+  // and the mapping belong to `reader`, every early return releases them.
+  const int fd = ::shm_open(("/" + name).c_str(), O_RDONLY, 0);
   if (fd < 0) {
     const int e = errno;
     return set_error(err,
@@ -96,73 +87,53 @@ std::unique_ptr<SegmentReader> SegmentReader::attach(const std::string& name,
                                  : AttachError::Kind::kIo,
                      "shm_open failed: " + std::string(std::strerror(e)));
   }
+  auto reader = std::unique_ptr<SegmentReader>(new SegmentReader());
+  reader->name_ = name;
+  reader->fd_ = fd;  // kept for revalidate(): detects later truncation
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
-    const std::string text =
-        "fstat failed: " + std::string(std::strerror(errno));
-    ::close(fd);
-    return set_error(err, AttachError::Kind::kIo, text);
+    return set_error(err, AttachError::Kind::kIo,
+                     "fstat failed: " + std::string(std::strerror(errno)));
   }
+  // The exporter names a segment only once it is complete, so a short
+  // file or ready == 0 below is a foreign creator, not a producer that is
+  // still starting up: corrupt, not worth a retry.
   if (st.st_size < static_cast<off_t>(sizeof(SegmentHeader))) {
-    ::close(fd);
-    // The creator sizes the file right after shm_open(O_CREAT); a reader
-    // racing that window sees a short (often zero-byte) file.
-    return set_error(err, AttachError::Kind::kTransient,
-                     "segment smaller than its header (mid-create?)");
+    return set_error(err, AttachError::Kind::kCorrupt,
+                     "segment smaller than its header");
   }
   const auto mapped = static_cast<std::uint64_t>(st.st_size);
-  void* base = ::mmap(nullptr, mapped,
-                      writable ? PROT_READ | PROT_WRITE : PROT_READ,
-                      MAP_SHARED, fd, 0);
+  void* base = ::mmap(nullptr, mapped, PROT_READ, MAP_SHARED, fd, 0);
   if (base == MAP_FAILED) {
-    const std::string text =
-        "mmap failed: " + std::string(std::strerror(errno));
-    ::close(fd);
-    return set_error(err, AttachError::Kind::kIo, text);
+    return set_error(err, AttachError::Kind::kIo,
+                     "mmap failed: " + std::string(std::strerror(errno)));
   }
-  auto* header = static_cast<SegmentHeader*>(base);
-  if (header->magic != kMagic || header->version != kVersion) {
-    // Distinguish the two for the quarantine record, but both are final.
-    const std::string text = header->magic != kMagic
-                                 ? "bad magic (not an ORCA segment)"
-                                 : "segment version mismatch";
-    ::munmap(base, mapped);
-    ::close(fd);
-    return set_error(err, AttachError::Kind::kCorrupt, text);
-  }
+  reader->base_ = static_cast<const char*>(base);
+  reader->mapped_bytes_ = mapped;
+  const SegmentHeader* header = reader->header();
+  // The acquire on `ready` orders every header read below after it.
   if (header->ready.load(std::memory_order_acquire) == 0) {
-    ::munmap(base, mapped);
-    ::close(fd);
-    return set_error(err, AttachError::Kind::kTransient,
-                     "segment still initializing");
+    return set_error(err, AttachError::Kind::kCorrupt,
+                     "ready flag unset (incomplete or not an ORCA segment)");
   }
-  // Deep validation: every derived offset bounds-checked against the
-  // mapping before any cursor is created (validate.hpp).
+  // Deep validation: magic, version and every derived offset
+  // bounds-checked against the mapping before any cursor is created
+  // (validate.hpp).
   std::string why;
   if (!validate_segment(*header, mapped, &why)) {
-    ::munmap(base, mapped);
-    ::close(fd);
     return set_error(err, AttachError::Kind::kCorrupt, why);
   }
   // Close the attach/truncate race: everything above read pages that a
   // concurrent ftruncate could have pulled out from under us. Re-check
-  // the file size now that the geometry is captured; shrunk means a
-  // producer dying loudly — let the retry policy sort it out.
+  // the file size now that the geometry is captured; only a hostile or
+  // dying-loudly creator resizes a named segment.
   struct stat st2 {};
   if (::fstat(fd, &st2) != 0 ||
       static_cast<std::uint64_t>(st2.st_size) < mapped) {
-    ::munmap(base, mapped);
-    ::close(fd);
-    return set_error(err, AttachError::Kind::kTransient,
+    return set_error(err, AttachError::Kind::kCorrupt,
                      "segment resized during attach");
   }
 
-  auto reader = std::unique_ptr<SegmentReader>(new SegmentReader());
-  reader->name_ = name;
-  reader->base_ = static_cast<const char*>(base);
-  reader->mapped_bytes_ = mapped;
-  reader->fd_ = fd;  // kept for revalidate(): detects later truncation
-  reader->writable_ = writable;
   reader->geom_.ring_count = header->ring_count;
   reader->geom_.event_capacity = header->event_capacity;
   reader->geom_.sample_capacity = header->sample_capacity;
@@ -183,19 +154,6 @@ std::unique_ptr<SegmentReader> SegmentReader::attach(const std::string& name,
   reader->created_ns_ = header->created_ns;
   reader->event_cursors_.resize(header->ring_count);
   reader->sample_cursors_.resize(header->ring_count);
-  if (writable) {
-    // Diagnostics only; nothing on the producer side ever waits on it, so
-    // a reader that dies without decrementing costs nothing.
-    header->readers_attached.fetch_add(1, std::memory_order_relaxed);
-  }
-  return reader;
-}
-
-std::unique_ptr<SegmentReader> SegmentReader::attach(const std::string& name,
-                                                     std::string* error) {
-  AttachError err;
-  auto reader = attach(name, &err);
-  if (!reader && error != nullptr) *error = err.message;
   return reader;
 }
 

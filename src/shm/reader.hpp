@@ -1,8 +1,7 @@
 /// \file reader.hpp
 /// Out-of-process side of the shm export layer: discover segments in
-/// /dev/shm, attach (read-only where possible — readers never need to
-/// store into the segment beyond the diagnostic attach counter), drain
-/// the broadcast rings with private cursors, watch the sense-reversing
+/// /dev/shm, attach (read-only: readers never store into the segment),
+/// drain the broadcast rings with private cursors, watch the sense-reversing
 /// heartbeat, and salvage the crash region when the producer dies. This
 /// is what orcamon (src/tool/orcamon) is built from.
 ///
@@ -42,22 +41,19 @@ struct SegmentName {
 std::vector<SegmentName> discover_segments(const std::string& prefix);
 
 /// Typed attach failure, so callers can pick a policy per class instead
-/// of string-matching: transient failures are retried with backoff,
-/// corrupt segments are quarantined immediately, vanished ones dropped.
+/// of string-matching: I/O failures are retried with backoff, corrupt
+/// segments are quarantined immediately, vanished ones dropped.
 struct AttachError {
   enum class Kind {
-    kNone,       ///< no failure recorded
-    kNotFound,   ///< ENOENT: unlinked between discovery and open
-    kTransient,  ///< mid-initialization (ready == 0) or racing a resize
-    kCorrupt,    ///< failed structural validation; retrying is pointless
-    kIo,         ///< open/stat/mmap failed for a system-level reason
+    kNone,      ///< no failure recorded
+    kNotFound,  ///< ENOENT: unlinked between discovery and open
+    kCorrupt,   ///< not a complete, valid segment; retrying is pointless
+    kIo,        ///< open/stat/mmap failed for a system-level reason
   };
   Kind kind = Kind::kNone;
   std::string message;
 
-  bool retryable() const noexcept {
-    return kind == Kind::kTransient || kind == Kind::kIo;
-  }
+  bool retryable() const noexcept { return kind == Kind::kIo; }
 };
 
 const char* attach_error_kind_name(AttachError::Kind kind) noexcept;
@@ -91,16 +87,15 @@ enum class Liveness {
 /// from this side, so concurrent polls of *different* cursors are fine.
 class SegmentReader {
  public:
-  /// Map "<name>" (no leading slash). Returns nullptr with the failure
-  /// class in *err (when non-null) on ENOENT, a failed deep validation
-  /// (validate.hpp), or a truncated segment. Attaching
-  /// mid-initialization (ready == 0) fails kTransient: retry later.
+  /// Open "<name>" (no leading slash) read-only and map it PROT_READ.
+  /// Returns nullptr with the failure class in *err (when non-null):
+  /// kNotFound on ENOENT, kIo when open/stat/mmap fail, kCorrupt on a
+  /// failed deep validation (validate.hpp), `ready` == 0, a file shorter
+  /// than its header, or one resized during attach. The exporter names a
+  /// segment only once it is complete, so kCorrupt means a foreign or
+  /// hostile creator, never a producer still starting up.
   static std::unique_ptr<SegmentReader> attach(const std::string& name,
                                                AttachError* err);
-
-  /// Legacy convenience: message-only error reporting.
-  static std::unique_ptr<SegmentReader> attach(const std::string& name,
-                                               std::string* error = nullptr);
 
   ~SegmentReader();
   SegmentReader(const SegmentReader&) = delete;
@@ -114,10 +109,6 @@ class SegmentReader {
   std::uint64_t events_published() const noexcept;
   std::uint64_t samples_published() const noexcept;
   ProducerState producer_state() const noexcept;
-
-  /// True while the reader could write into the mapping (the attach
-  /// counter bump); false when the segment was opened read-only.
-  bool writable() const noexcept { return writable_; }
 
   /// Re-check that the file behind the mapping is still at least as large
   /// as what we mapped (cheap fstat on the kept fd). False — with a
@@ -204,7 +195,6 @@ class SegmentReader {
   const char* base_ = nullptr;
   std::uint64_t mapped_bytes_ = 0;
   int fd_ = -1;          ///< kept open for revalidate()
-  bool writable_ = false;
   Snapshot geom_;
   std::string label_;
   std::int64_t owner_pid_ = 0;

@@ -175,8 +175,8 @@ void run_schedule(const ChaosSchedule& schedule,
         mutate_header(path, step.param);
         break;
       case ChaosOp::kFlapAttach: {
-        // A stranger's reader coming and going: exercises the attach
-        // counter and the attach/unlink races from the outside.
+        // A stranger's reader coming and going: exercises the
+        // attach/unlink races from the outside.
         shm::AttachError err;
         auto reader = shm::SegmentReader::attach(v.segment, &err);
         reader.reset();

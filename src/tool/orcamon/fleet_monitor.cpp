@@ -36,8 +36,9 @@ constexpr int kLiveBatch = 1024;
 /// the element storage never moves.
 constexpr std::size_t kMaxProducers = 256;
 
-/// Backoff doubling stops here: 50ms << 5 = 1.6s is already longer than
-/// any mid-init window worth waiting through.
+/// Backoff doubling stops here: 50ms << 5 = 1.6s. Only kIo failures
+/// (fd exhaustion, a failed mmap) back off; a segment is named only once
+/// complete, so there is no start-up window to wait through.
 constexpr unsigned kMaxBackoffShift = 5;
 
 std::string json_escape(const std::string& s) {
@@ -216,11 +217,11 @@ void FleetMonitor::attach_new_segments(std::uint64_t now_ns) {
         break;
       }
       case shm::AttachError::Kind::kCorrupt:
-        // Structural validation failed: retrying cannot help and the
+        // Not a complete, valid segment: retrying cannot help and the
         // mapping was already dropped. One quarantine row, done forever.
         record_attach_quarantine(seg.name, seg.pid, err.message);
         break;
-      default: {  // kTransient / kIo: jittered exponential backoff
+      default: {  // kIo: jittered exponential backoff
         unsigned attempts = 0;
         {
           std::scoped_lock lk(mu_);

@@ -24,9 +24,9 @@
 ///   * attach runs the deep validation in shm/validate.hpp; a segment
 ///     that fails it is *quarantined* — recorded with a reason, never
 ///     retried, never dereferenced;
-///   * transient attach failures (mid-init, mid-resize, EMFILE weather)
-///     are retried with jittered exponential backoff and quarantined
-///     once the retry budget is spent;
+///   * I/O attach failures (EMFILE weather, a failed mmap) are retried
+///     with jittered exponential backoff and quarantined once the retry
+///     budget is spent;
 ///   * a producer that truncates its segment after we mapped it is caught
 ///     either by the cheap fstat in the liveness pass or by the SIGBUS
 ///     guard around the drain paths — either way it is detached into

@@ -15,8 +15,9 @@
 /// Alongside the randomized campaign, three deterministic scenarios pin
 /// the individual defenses: the shard watchdog replacing a wedged drain
 /// thread, the hard heartbeat deadline draining a SIGSTOPped producer,
-/// and the attach retry budget turning a never-ready segment into an
-/// attach-phase quarantine.
+/// and attach-phase quarantine: a never-ready segment at once, a segment
+/// whose attaches keep failing with I/O errors once the retry budget is
+/// spent.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -31,13 +32,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <new>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "fleet_session.hpp"
 #include "runtime/runtime.hpp"
 #include "shm/exporter.hpp"
 #include "shm/layout.hpp"
@@ -52,6 +55,7 @@ namespace {
 namespace chaos = orca::testing::chaos;
 using orca::rt::Runtime;
 using orca::rt::RuntimeConfig;
+using orca::testing::FleetSession;
 using orca::tool::orcamon::FleetMonitor;
 using orca::tool::orcamon::MonitorOptions;
 using orca::tool::orcamon::ProducerInfo;
@@ -87,6 +91,18 @@ void burn_region(int, void*) {
   _exit(0);
 }
 
+/// Runs `fn` when the scope ends, whichever way it ends.
+class OnExit {
+ public:
+  explicit OnExit(std::function<void()> fn) : fn_(std::move(fn)) {}
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+  ~OnExit() { fn_(); }
+
+ private:
+  std::function<void()> fn_;
+};
+
 struct ScenarioResult {
   bool ok = true;
   std::string detail;
@@ -101,21 +117,15 @@ ScenarioResult run_scenario(const chaos::ChaosSchedule& schedule) {
   const int id = scenario_counter.fetch_add(1, std::memory_order_relaxed);
   const std::string tag =
       std::to_string(::getpid()) + "-" + std::to_string(id);
-  const std::string prefix = "orcachaos-" + tag;
-  const std::string stop_file = "chaos_stop." + tag;
-  std::remove(stop_file.c_str());
+  FleetSession session("orcachaos-" + tag, "chaos_stop." + tag);
 
   ScenarioResult result;
-  std::vector<pid_t> kids;
   for (int i = 0; i < 3; ++i) {
-    const pid_t pid = fork();
-    if (pid < 0) {
+    if (session.fork_producer(&producer_child) < 0) {
       result.ok = false;
       result.detail = "fork failed";
       return result;
     }
-    if (pid == 0) producer_child(prefix, stop_file);
-    kids.push_back(pid);
   }
 
   // Victims come from discovery, same as the monitor's own view.
@@ -123,7 +133,7 @@ ScenarioResult run_scenario(const chaos::ChaosSchedule& schedule) {
   const auto arm_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < arm_deadline) {
-    segs = orca::shm::discover_segments(prefix);
+    segs = orca::shm::discover_segments(session.prefix());
     if (segs.size() >= 3) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
@@ -131,81 +141,67 @@ ScenarioResult run_scenario(const chaos::ChaosSchedule& schedule) {
   for (const orca::shm::SegmentName& s : segs) {
     victims.push_back({static_cast<pid_t>(s.pid), s.name});
   }
-
-  if (victims.size() == 3) {
-    MonitorOptions opts;
-    opts.prefix = prefix;
-    opts.shards = 2;
-    opts.poll_ms = 1;
-    opts.discover_ms = 10;
-    opts.report_interval_s = 0;
-    opts.report_out = "/dev/null";
-    opts.exit_when_idle = true;
-    opts.duration_s = 15;  // failsafe: idle-exit is the expected path
-    opts.liveness_grace = 3;
-    opts.attach_retry_ms = 5;
-    opts.attach_retry_max = 4;
-    // SIGSTOP weather + a hard staleness deadline would force-close the
-    // books of a producer that later resumes and publishes more; random
-    // schedules therefore run without the deadline (it has its own
-    // deterministic test below, where the victim never resumes).
-    opts.heartbeat_deadline_ms = 0;
-    FleetMonitor monitor(opts);
-    std::thread runner([&] { monitor.run(); });
-
-    chaos::run_schedule(schedule, victims);  // ends with a SIGCONT sweep
-    { std::ofstream(stop_file) << "stop\n"; }
-    for (const pid_t kid : kids) {
-      int status = 0;
-      (void)::waitpid(kid, &status, 0);  // any exit is fine for a victim
-    }
-    runner.join();
-
-    std::ostringstream why;
-    for (const ProducerInfo& p : monitor.producers()) {
-      if (p.quarantined) {
-        if (p.quarantine_reason.empty()) {
-          result.ok = false;
-          why << "pid " << p.pid << " quarantined without a reason; ";
-        }
-        continue;  // settled: books were snapshotted on the way in
-      }
-      if (!p.drained) {
-        result.ok = false;
-        why << "pid " << p.pid << " neither drained nor quarantined; ";
-        continue;
-      }
-      if (p.produced != p.read + p.lost) {
-        result.ok = false;
-        why << "books off for pid " << p.pid << ": produced=" << p.produced
-            << " read=" << p.read << " lost=" << p.lost << "; ";
-      }
-    }
-    for (const QuarantineRecord& q : monitor.quarantines()) {
-      if (q.reason.empty()) {
-        result.ok = false;
-        why << "quarantine record for " << q.name << " without a reason; ";
-      }
-    }
-    result.detail = why.str();
-  } else {
+  if (victims.size() != 3) {
     result.ok = false;
     result.detail = "fleet never armed (" + std::to_string(victims.size()) +
                     "/3 segments)";
-    for (const pid_t kid : kids) {
-      (void)::kill(kid, SIGKILL);
-      int status = 0;
-      (void)::waitpid(kid, &status, 0);
-    }
+    return result;
   }
 
-  // Leftovers (quarantined segments are deliberately not unlinked by the
-  // monitor; killed producers may leak theirs too).
-  for (const orca::shm::SegmentName& s :
-       orca::shm::discover_segments(prefix)) {
-    ::shm_unlink(("/" + s.name).c_str());
+  MonitorOptions opts;
+  opts.prefix = session.prefix();
+  opts.shards = 2;
+  opts.poll_ms = 1;
+  opts.discover_ms = 10;
+  opts.report_interval_s = 0;
+  opts.report_out = "/dev/null";
+  opts.exit_when_idle = true;
+  opts.duration_s = 15;  // failsafe: idle-exit is the expected path
+  opts.liveness_grace = 3;
+  opts.attach_retry_ms = 5;
+  opts.attach_retry_max = 4;
+  // SIGSTOP weather + a hard staleness deadline would force-close the
+  // books of a producer that later resumes and publishes more; random
+  // schedules therefore run without the deadline (it has its own
+  // deterministic test below, where the victim never resumes).
+  opts.heartbeat_deadline_ms = 0;
+  FleetMonitor& monitor = session.start_monitor(opts);
+
+  chaos::run_schedule(schedule, victims);  // ends with a SIGCONT sweep
+  session.stop_producers();
+  for (const pid_t kid : std::vector<pid_t>(session.children())) {
+    int status = 0;
+    (void)session.reap(kid, &status);  // any exit is fine for a victim
   }
-  std::remove(stop_file.c_str());
+  session.join_monitor();
+
+  std::ostringstream why;
+  for (const ProducerInfo& p : monitor.producers()) {
+    if (p.quarantined) {
+      if (p.quarantine_reason.empty()) {
+        result.ok = false;
+        why << "pid " << p.pid << " quarantined without a reason; ";
+      }
+      continue;  // settled: books were snapshotted on the way in
+    }
+    if (!p.drained) {
+      result.ok = false;
+      why << "pid " << p.pid << " neither drained nor quarantined; ";
+      continue;
+    }
+    if (p.produced != p.read + p.lost) {
+      result.ok = false;
+      why << "books off for pid " << p.pid << ": produced=" << p.produced
+          << " read=" << p.read << " lost=" << p.lost << "; ";
+    }
+  }
+  for (const QuarantineRecord& q : monitor.quarantines()) {
+    if (q.reason.empty()) {
+      result.ok = false;
+      why << "quarantine record for " << q.name << " without a reason; ";
+    }
+  }
+  result.detail = why.str();
   return result;
 }
 
@@ -241,18 +237,18 @@ TEST(ChaosFleet, SeededScheduleCampaign) {
 
 TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
   const std::string tag = std::to_string(::getpid());
-  const std::string prefix = "orcachaos-wd-" + tag;
-  const std::string stop_file = "chaos_wd_stop." + tag;
-  std::remove(stop_file.c_str());
-
-  // Fork before arming: the child must not inherit an armed injector.
-  const pid_t kid = fork();
-  ASSERT_GE(kid, 0);
-  if (kid == 0) producer_child(prefix, stop_file);
-
+  auto& inj = orca::testing::FaultInjector::instance();
   std::atomic<bool> wedged{false};
   std::atomic<bool> release{false};
-  auto& inj = orca::testing::FaultInjector::instance();
+  // Disarm only after the session joined every monitor thread (the
+  // injector must not be reconfigured under a running seam).
+  const OnExit disarm_injector{[&] { inj.disarm(); }};
+  FleetSession session("orcachaos-wd-" + tag, "chaos_wd_stop." + tag);
+
+  // Fork before arming: the child must not inherit an armed injector.
+  const pid_t kid = session.fork_producer(&producer_child);
+  ASSERT_GT(kid, 0);
+
   // Wedge exactly one shard thread at the top of its pass; replacements
   // (and the other shard) sail through.
   inj.set_hook(orca::testing::FaultPoint::kShardDrain, [&] {
@@ -264,63 +260,58 @@ TEST(ChaosFleet, WatchdogReplacesWedgedShard) {
     }
   });
   inj.arm();
+  // Runs before the session's teardown on every path: the monitor's
+  // destructor joins the retired thread, which needs the hook released.
+  const OnExit unwedge{
+      [&] { release.store(true, std::memory_order_release); }};
 
-  {
-    MonitorOptions opts;
-    opts.prefix = prefix;
-    opts.shards = 2;
-    opts.poll_ms = 1;
-    opts.discover_ms = 10;
-    opts.report_interval_s = 0;
-    opts.report_out = "/dev/null";
-    opts.exit_when_idle = true;
-    opts.duration_s = 20;  // failsafe
-    opts.liveness_grace = 4;
-    opts.shard_stall_ms = 100;
-    FleetMonitor monitor(opts);
-    std::thread runner([&] { monitor.run(); });
+  MonitorOptions opts;
+  opts.prefix = session.prefix();
+  opts.shards = 2;
+  opts.poll_ms = 1;
+  opts.discover_ms = 10;
+  opts.report_interval_s = 0;
+  opts.report_out = "/dev/null";
+  opts.exit_when_idle = true;
+  opts.duration_s = 20;  // failsafe
+  opts.liveness_grace = 4;
+  opts.shard_stall_ms = 100;
+  FleetMonitor& monitor = session.start_monitor(opts);
 
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (monitor.watchdog_restarts() == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GE(monitor.watchdog_restarts(), 1u)
-        << "watchdog never replaced the wedged shard";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (monitor.watchdog_restarts() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(monitor.watchdog_restarts(), 1u)
+      << "watchdog never replaced the wedged shard";
 
-    release.store(true, std::memory_order_release);
-    { std::ofstream(stop_file) << "stop\n"; }
-    int status = 0;
-    ASSERT_EQ(::waitpid(kid, &status, 0), kid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-    runner.join();
+  release.store(true, std::memory_order_release);
+  session.stop_producers();
+  int status = 0;
+  ASSERT_TRUE(session.reap(kid, &status));
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  session.join_monitor();
 
-    // The replacement drained what the wedged thread abandoned: books
-    // close honestly despite the mid-session thread swap.
-    const std::vector<ProducerInfo> fleet = monitor.producers();
-    ASSERT_EQ(fleet.size(), 1u);
-    EXPECT_TRUE(fleet[0].drained);
-    EXPECT_FALSE(fleet[0].quarantined);
-    EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost);
-    EXPECT_GT(fleet[0].read, 0u);
-  }  // monitor dtor joins the retired thread (release is set)
-  inj.disarm();
-  std::remove(stop_file.c_str());
+  // The replacement drained what the wedged thread abandoned: books
+  // close honestly despite the mid-session thread swap.
+  const std::vector<ProducerInfo> fleet = monitor.producers();
+  ASSERT_EQ(fleet.size(), 1u);
+  EXPECT_TRUE(fleet[0].drained);
+  EXPECT_FALSE(fleet[0].quarantined);
+  EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost);
+  EXPECT_GT(fleet[0].read, 0u);
 }
 
 TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   const std::string tag = std::to_string(::getpid());
-  const std::string prefix = "orcachaos-stall-" + tag;
-  const std::string stop_file = "chaos_stall_stop." + tag;
-  std::remove(stop_file.c_str());
-
-  const pid_t kid = fork();
-  ASSERT_GE(kid, 0);
-  if (kid == 0) producer_child(prefix, stop_file);
+  FleetSession session("orcachaos-stall-" + tag, "chaos_stall_stop." + tag);
+  const pid_t kid = session.fork_producer(&producer_child);
+  ASSERT_GT(kid, 0);
 
   MonitorOptions opts;
-  opts.prefix = prefix;
+  opts.prefix = session.prefix();
   opts.shards = 2;
   opts.poll_ms = 1;
   opts.discover_ms = 10;
@@ -332,8 +323,7 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   // the hard staleness deadline can declare this producer gone.
   opts.liveness_grace = 1000000;
   opts.heartbeat_deadline_ms = 250;
-  FleetMonitor monitor(opts);
-  std::thread runner([&] { monitor.run(); });
+  FleetMonitor& monitor = session.start_monitor(opts);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
@@ -348,8 +338,9 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   // monitor would wait forever; with it the books get force-closed. The
   // victim is never resumed before the monitor exits — resuming after a
   // force-close is exactly the case the deadline knob documents away.
+  // The session SIGKILLs and reaps it, and unlinks its segment.
   ASSERT_EQ(::kill(kid, SIGSTOP), 0);
-  runner.join();
+  session.join_monitor();
 
   const std::vector<ProducerInfo> fleet = monitor.producers();
   ASSERT_EQ(fleet.size(), 1u);
@@ -358,63 +349,111 @@ TEST(ChaosFleet, HeartbeatDeadlineDrainsStalledProducer) {
   EXPECT_FALSE(fleet[0].quarantined);
   EXPECT_EQ(fleet[0].produced, fleet[0].read + fleet[0].lost);
   EXPECT_GT(fleet[0].read, 0u);
-
-  ASSERT_EQ(::kill(kid, SIGKILL), 0);
-  int status = 0;
-  ASSERT_EQ(::waitpid(kid, &status, 0), kid);
-  for (const orca::shm::SegmentName& s :
-       orca::shm::discover_segments(prefix)) {
-    ::shm_unlink(("/" + s.name).c_str());
-  }
-  std::remove(stop_file.c_str());
 }
 
-TEST(ChaosFleet, AttachRetriesExhaustedBecomeQuarantine) {
-  const std::string prefix = "orcachaos-stub-" + std::to_string(::getpid());
-  // A segment that will never finish initializing: valid magic/version,
-  // ready forever 0. The pid in the name is foreign so the monitor does
-  // not skip it as self.
-  const std::string name = prefix + ".999999.0";
-  const int fd = ::shm_open(("/" + name).c_str(), O_CREAT | O_EXCL | O_RDWR,
-                            0600);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::ftruncate(fd, sizeof(orca::shm::SegmentHeader)), 0);
-  void* base = ::mmap(nullptr, sizeof(orca::shm::SegmentHeader),
-                      PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ASSERT_NE(base, MAP_FAILED);
-  auto* header = new (base) orca::shm::SegmentHeader{};
-  header->magic = orca::shm::kMagic;
-  header->version = orca::shm::kVersion;
-  header->segment_bytes = sizeof(orca::shm::SegmentHeader);
+/// A header-only segment that never becomes ready: valid magic/version,
+/// `ready` forever 0. Only a foreign creator can publish one, since the
+/// exporter names a segment once it is complete.
+struct NeverReadySegment {
+  std::string name;
+  int fd = -1;
+  void* base = MAP_FAILED;
 
+  explicit NeverReadySegment(std::string seg_name)
+      : name(std::move(seg_name)) {
+    fd = ::shm_open(("/" + name).c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
+    if (fd < 0 ||
+        ::ftruncate(fd, sizeof(orca::shm::SegmentHeader)) != 0) {
+      return;
+    }
+    base = ::mmap(nullptr, sizeof(orca::shm::SegmentHeader),
+                  PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    if (base == MAP_FAILED) return;
+    auto* header = new (base) orca::shm::SegmentHeader{};
+    header->magic = orca::shm::kMagic;
+    header->version = orca::shm::kVersion;
+    header->header_bytes = sizeof(orca::shm::SegmentHeader);
+    header->segment_bytes = sizeof(orca::shm::SegmentHeader);
+  }
+  NeverReadySegment(const NeverReadySegment&) = delete;
+  NeverReadySegment& operator=(const NeverReadySegment&) = delete;
+  ~NeverReadySegment() {
+    if (base != MAP_FAILED) ::munmap(base, sizeof(orca::shm::SegmentHeader));
+    if (fd >= 0) ::close(fd);
+    ::shm_unlink(("/" + name).c_str());
+  }
+  bool ok() const { return base != MAP_FAILED; }
+};
+
+MonitorOptions attach_only_options(const std::string& prefix,
+                                   double duration_s) {
   MonitorOptions opts;
   opts.prefix = prefix;
   opts.shards = 1;
   opts.discover_ms = 10;
   opts.report_interval_s = 0;
   opts.report_out = "/dev/null";
-  opts.duration_s = 2;  // no producer will ever attach; duration bounds it
+  opts.duration_s = duration_s;  // no producer will ever attach
   opts.attach_retry_ms = 2;
   opts.attach_retry_max = 3;
-  FleetMonitor monitor(opts);
-  EXPECT_EQ(monitor.run(), 0u) << "a never-ready segment must not attach";
+  return opts;
+}
+
+TEST(ChaosFleet, AttachRetriesExhaustedBecomeQuarantine) {
+  const std::string prefix = "orcachaos-stub-" + std::to_string(::getpid());
+  auto& inj = orca::testing::FaultInjector::instance();
+  const OnExit disarm_injector{[&] { inj.disarm(); }};
+
+  // A never-ready segment is corrupt, not late: one attach attempt, one
+  // quarantine, no backoff. The pid in the name is foreign so the monitor
+  // does not skip it as self.
+  {
+    NeverReadySegment stub(prefix + ".999999.0");
+    ASSERT_TRUE(stub.ok());
+    inj.arm();  // no hooks or budgets: only counts seam hits
+    FleetMonitor monitor(attach_only_options(prefix, 0.5));
+    EXPECT_EQ(monitor.run(), 0u) << "a never-ready segment must not attach";
+    EXPECT_EQ(inj.hits(orca::testing::FaultPoint::kShmAttach), 1u)
+        << "a corrupt segment must not be retried";
+    inj.disarm();
+    const std::vector<QuarantineRecord> q = monitor.quarantines();
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q[0].name, stub.name);
+    EXPECT_EQ(q[0].pid, 999999);
+    EXPECT_TRUE(q[0].attach_phase);
+    EXPECT_NE(q[0].reason.find("ready"), std::string::npos) << q[0].reason;
+    EXPECT_EQ(q[0].reason.find("retries exhausted"), std::string::npos)
+        << q[0].reason;
+  }
+
+  // A healthy, complete segment whose every attach fails with kIo (the
+  // kShmAttach seam) is retried with backoff until the budget is spent.
+  orca::shm::ExporterOptions eo;
+  eo.name = prefix + ".999999.1";
+  eo.ring_count = 2;
+  eo.event_capacity = 16;
+  eo.sample_capacity = 16;
+  eo.crash_capacity = 256;
+  ASSERT_TRUE(orca::shm::arm(eo));
+  const OnExit disarm_export{[] { orca::shm::disarm(); }};
+  inj.fail_allocs(orca::testing::FaultPoint::kShmAttach, 1000);
+  inj.arm();
+  FleetMonitor monitor(attach_only_options(prefix, 2));
+  EXPECT_EQ(monitor.run(), 0u) << "every attach was made to fail";
 
   const std::vector<QuarantineRecord> q = monitor.quarantines();
   ASSERT_EQ(q.size(), 1u);
-  EXPECT_EQ(q[0].name, name);
+  EXPECT_EQ(q[0].name, eo.name);
   EXPECT_EQ(q[0].pid, 999999);
   EXPECT_TRUE(q[0].attach_phase);
   EXPECT_NE(q[0].reason.find("retries exhausted"), std::string::npos)
       << q[0].reason;
   EXPECT_NE(q[0].reason.find("3x"), std::string::npos) << q[0].reason;
+  EXPECT_NE(q[0].reason.find("last io"), std::string::npos) << q[0].reason;
 
   const std::string report = monitor.render_report();
   EXPECT_NE(report.find("quarantined at attach"), std::string::npos)
       << report;
-
-  ::munmap(base, sizeof(orca::shm::SegmentHeader));
-  ::close(fd);
-  ::shm_unlink(("/" + name).c_str());
 }
 
 }  // namespace

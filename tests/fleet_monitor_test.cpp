@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "fleet_session.hpp"
 #include "runtime/runtime.hpp"
 #include "shm/exporter.hpp"
 #include "tool/orcamon/fleet_monitor.hpp"
@@ -27,6 +28,7 @@ namespace {
 
 using orca::rt::Runtime;
 using orca::rt::RuntimeConfig;
+using orca::testing::FleetSession;
 using orca::tool::orcamon::FleetMonitor;
 using orca::tool::orcamon::MonitorOptions;
 using orca::tool::orcamon::ProducerInfo;
@@ -63,27 +65,21 @@ void burn_region(int, void*) {
 }
 
 TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
-  const std::string prefix =
-      "orcafleet-" + std::to_string(::getpid());
-  const std::string stop_file =
-      "fleet_monitor_stop." + std::to_string(::getpid());
   const std::string trace_file =
       "fleet_monitor_trace." + std::to_string(::getpid()) + ".json";
-  std::remove(stop_file.c_str());
   std::remove(trace_file.c_str());
+  FleetSession session("orcafleet-" + std::to_string(::getpid()),
+                       "fleet_monitor_stop." + std::to_string(::getpid()));
 
   // Fork the fleet before this process grows any threads.
-  std::vector<pid_t> kids;
   for (int i = 0; i < 3; ++i) {
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) producer_child(prefix, stop_file);
-    kids.push_back(pid);
+    ASSERT_GT(session.fork_producer(&producer_child), 0);
   }
+  const std::vector<pid_t> kids = session.children();
   const pid_t victim = kids[2];
 
   MonitorOptions opts;
-  opts.prefix = prefix;
+  opts.prefix = session.prefix();
   opts.shards = 3;
   opts.poll_ms = 1;
   opts.discover_ms = 20;
@@ -92,8 +88,7 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   opts.report_out = "fleet_monitor_report." + std::to_string(::getpid());
   opts.exit_when_idle = true;
   opts.liveness_grace = 4;
-  FleetMonitor monitor(opts);
-  std::thread runner([&] { monitor.run(); });
+  FleetMonitor& monitor = session.start_monitor(opts);
 
   // Wait until all three producers attached and real work flowed through
   // the merged pipeline, then kill one mid-run.
@@ -109,19 +104,19 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
 
   // Tell the survivors to finish cleanly (detach under load).
-  { std::ofstream(stop_file) << "stop\n"; }
+  session.stop_producers();
 
   int status = 0;
-  ASSERT_EQ(::waitpid(kids[0], &status, 0), kids[0]);
+  ASSERT_TRUE(session.reap(kids[0], &status));
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ASSERT_EQ(::waitpid(kids[1], &status, 0), kids[1]);
+  ASSERT_TRUE(session.reap(kids[1], &status));
   EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  ASSERT_EQ(::waitpid(victim, &status, 0), victim);
+  ASSERT_TRUE(session.reap(victim, &status));
   EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
   // exit_when_idle: the monitor winds down once every producer finalized
   // or died and their rings are drained.
-  runner.join();
+  session.join_monitor();
 
   const std::vector<ProducerInfo> fleet = monitor.producers();
   ASSERT_EQ(fleet.size(), 3u);
@@ -135,8 +130,9 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
     if (p.dead) {
       ++dead;
       EXPECT_EQ(p.pid, static_cast<std::int64_t>(victim));
-      // Salvaged crash section: the heartbeat's rolling snapshot survives
-      // SIGKILL, where no in-process handler can run.
+      // Salvaged crash section: the rolling snapshot, first written
+      // before the segment was named, survives SIGKILL, where no
+      // in-process handler can run.
       EXPECT_EQ(p.salvage.kind, orca::shm::kCrashSnapshot);
       EXPECT_NE(p.salvage.text.find("events_published"), std::string::npos);
       EXPECT_NE(p.salvage.text.find("beats"), std::string::npos);
@@ -149,7 +145,7 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   EXPECT_EQ(finalized, 2);
 
   // The dead producer's segment was reaped; the fleet stayed clean.
-  EXPECT_TRUE(orca::shm::discover_segments(prefix).empty());
+  EXPECT_TRUE(orca::shm::discover_segments(session.prefix()).empty());
 
   // Merged Perfetto trace: every process track present.
   std::ifstream in(trace_file);
@@ -172,7 +168,6 @@ TEST(FleetMonitor, ThreeProducersOneKilledMidRun) {
   EXPECT_NE(report.find("crash section (snapshot"), std::string::npos);
   EXPECT_NE(report.find("parallel-region durations"), std::string::npos);
 
-  std::remove(stop_file.c_str());
   std::remove(trace_file.c_str());
   std::remove(opts.report_out.c_str());
 }

@@ -1,10 +1,12 @@
 /// Shm export layer tests (docs/FLEET.md): arm/attach handshake through a
 /// real /dev/shm segment, runtime-config arming, event mirroring into the
 /// rings, heartbeat + telemetry mirror + crash-snapshot freshness, clean
-/// finalize-and-unlink, stale-segment hygiene — and the hostile-world
+/// finalize-and-unlink, stale-segment hygiene, publication only once
+/// complete under an arm/disarm-vs-attach race — and the hostile-world
 /// surface: an adversarial header-mutation corpus that attach must reject
 /// without faulting, SIGBUS survival when the file shrinks under the
-/// mapping, and graceful arm degradation when segment creation fails.
+/// mapping, read-only attach, and graceful arm degradation when segment
+/// creation fails.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -12,7 +14,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -69,9 +73,9 @@ TEST(ShmExport, ArmExportsReadableSegment) {
   ASSERT_EQ(segs.size(), 1u);
   EXPECT_EQ(segs[0].pid, static_cast<std::int64_t>(::getpid()));
 
-  std::string err;
+  shm::AttachError err;
   auto reader = shm::SegmentReader::attach(opts.name, &err);
-  ASSERT_NE(reader, nullptr) << err;
+  ASSERT_NE(reader, nullptr) << err.message;
   EXPECT_EQ(reader->owner_pid(), static_cast<std::int64_t>(::getpid()));
   EXPECT_EQ(reader->label(), "unit-test");
   EXPECT_EQ(reader->ring_count(), 4u);
@@ -115,7 +119,8 @@ TEST(ShmExport, ArmExportsReadableSegment) {
   EXPECT_EQ(reader->total_read() + reader->total_lost(),
             reader->total_produced());
   // The name is gone (unlinked); the mapping we hold stays valid.
-  EXPECT_EQ(shm::SegmentReader::attach(opts.name), nullptr);
+  EXPECT_EQ(shm::SegmentReader::attach(opts.name, &err), nullptr);
+  EXPECT_EQ(err.kind, shm::AttachError::Kind::kNotFound);
   EXPECT_TRUE(shm::discover_segments(prefix).empty());
 }
 
@@ -153,8 +158,9 @@ TEST(ShmExport, RuntimeArmsFromConfigAndMirrorsForkJoin) {
 
     const auto segs = shm::discover_segments(prefix);
     ASSERT_EQ(segs.size(), 1u);
-    auto reader = shm::SegmentReader::attach(segs[0].name);
-    ASSERT_NE(reader, nullptr);
+    shm::AttachError err;
+    auto reader = shm::SegmentReader::attach(segs[0].name, &err);
+    ASSERT_NE(reader, nullptr) << err.message;
     // Ring 0 is the master slot: both regions' FORK and JOIN live there.
     int forks = 0, joins = 0;
     shm::Record rec;
@@ -350,26 +356,31 @@ TEST(ShmAttackSurface, AdversarialHeaderCorpusRejectedAtAttach) {
   }
 }
 
-TEST(ShmAttackSurface, TransientStatesClassifiedRetryable) {
-  // Mid-initialization: valid geometry, ready still 0.
-  RawSegment seg(unique_prefix("transient") + "." +
+TEST(ShmAttackSurface, NeverReadyAndShortSegmentsClassifiedCorrupt) {
+  // The exporter names a segment only once it is complete, so neither
+  // state below is a producer still starting up: both come from a foreign
+  // or hostile creator, and retrying cannot help.
+  // Never ready: valid geometry, ready still 0.
+  RawSegment seg(unique_prefix("notready") + "." +
                  std::to_string(::getpid()) + ".1");
   ASSERT_TRUE(seg.ok());
   seg.header->ready.store(0, std::memory_order_release);
   shm::AttachError err;
   EXPECT_EQ(shm::SegmentReader::attach(seg.name, &err), nullptr);
-  EXPECT_EQ(err.kind, shm::AttachError::Kind::kTransient);
-  EXPECT_TRUE(err.retryable());
+  EXPECT_EQ(err.kind, shm::AttachError::Kind::kCorrupt);
+  EXPECT_FALSE(err.retryable());
+  EXPECT_NE(err.message.find("ready"), std::string::npos) << err.message;
 
-  // Mid-create: the file exists but is shorter than the header.
+  // Short: the file exists but is shorter than the header.
   const std::string shorty =
-      unique_prefix("transient") + "." + std::to_string(::getpid()) + ".2";
+      unique_prefix("notready") + "." + std::to_string(::getpid()) + ".2";
   const int fd = ::shm_open(("/" + shorty).c_str(), O_CREAT | O_RDWR, 0600);
   ASSERT_GE(fd, 0);
   ASSERT_EQ(::ftruncate(fd, 16), 0);
   ::close(fd);
   EXPECT_EQ(shm::SegmentReader::attach(shorty, &err), nullptr);
-  EXPECT_EQ(err.kind, shm::AttachError::Kind::kTransient);
+  EXPECT_EQ(err.kind, shm::AttachError::Kind::kCorrupt);
+  EXPECT_FALSE(err.retryable());
   ::shm_unlink(("/" + shorty).c_str());
 
   // Vanished: classified kNotFound, not retryable.
@@ -454,30 +465,96 @@ TEST(ShmAttackSurface, AttachSeamInjectsRetryableFailure) {
   inj.disarm();
 }
 
-TEST(ShmAttackSurface, ReadOnlySegmentsAttachWithoutTheBump) {
+TEST(ShmAttackSurface, ReadOnlySegmentsAttachAndDrain) {
   RawSegment seg(unique_prefix("readonly") + "." +
                  std::to_string(::getpid()) + ".1");
   ASSERT_TRUE(seg.ok());
   seg.push_event(0, 7, 0);
   ASSERT_EQ(::chmod(("/dev/shm/" + seg.name).c_str(), 0400), 0);
+  std::vector<char> before(seg.base, seg.base + seg.geo.total_bytes);
 
+  // The reader opens O_RDONLY and maps PROT_READ, so a segment nobody
+  // may write still attaches (root or not) and drains.
   shm::AttachError err;
   auto reader = shm::SegmentReader::attach(seg.name, &err);
   ASSERT_NE(reader, nullptr) << err.message;
-  // Root bypasses the permission bits, so the read-only fallback only
-  // engages for unprivileged runs; either way the attach counter must
-  // agree with writable().
-  const std::uint32_t attached =
-      seg.header->readers_attached.load(std::memory_order_acquire);
-  if (reader->writable()) {
-    EXPECT_EQ(attached, 1u);
-  } else {
-    EXPECT_EQ(attached, 0u) << "read-only reader must not write the bump";
-  }
-  // Draining needs no write access at all.
   shm::Record rec;
   EXPECT_EQ(reader->poll_event(0, &rec), shm::Poll::kRecord);
   EXPECT_EQ(rec.event, 7);
+  EXPECT_EQ(reader->poll_event(0, &rec), shm::Poll::kEmpty);
+  EXPECT_EQ(reader->total_read(), 1u);
+  // Attach and drain wrote nothing into the segment.
+  EXPECT_EQ(std::memcmp(before.data(), seg.base, before.size()), 0);
+}
+
+TEST(ShmAttackSurface, SegmentVisibleOnlyOnceComplete) {
+  // One thread arms and disarms the exporter over and over while another
+  // discovers and attaches in a tight loop. A segment is named only once
+  // complete, so every attach either succeeds on a finished segment (its
+  // first crash snapshot already written) or finds the name gone.
+  const std::string prefix = unique_prefix("publish");
+  constexpr int kCycles = 200;
+  std::atomic<bool> done{false};
+  std::atomic<int> attached{0};
+  int cycles = 0;
+  std::thread armer([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    // At least kCycles, and on until the reader caught one segment live,
+    // so the race is exercised even when the scheduler starves a thread.
+    while (cycles < kCycles ||
+           (attached.load() == 0 &&
+            std::chrono::steady_clock::now() < deadline)) {
+      shm::ExporterOptions opts;
+      opts.name = shm::default_segment_name(prefix);
+      opts.ring_count = 2;
+      opts.event_capacity = 16;
+      opts.sample_capacity = 16;
+      opts.crash_capacity = 256;
+      if (!shm::arm(opts)) break;
+      shm::mirror_event(0, 7);
+      shm::disarm();
+      ++cycles;
+    }
+    done.store(true);
+  });
+
+  int gone = 0;
+  int bad = 0;
+  std::string first_bad;
+  auto flag = [&](const std::string& what) {
+    if (bad++ == 0) first_bad = what;
+  };
+  while (!done.load()) {
+    for (const shm::SegmentName& seg : shm::discover_segments(prefix)) {
+      shm::AttachError err;
+      auto reader = shm::SegmentReader::attach(seg.name, &err);
+      if (reader == nullptr) {
+        if (err.kind == shm::AttachError::Kind::kNotFound) {
+          ++gone;
+        } else {
+          flag(std::string(shm::attach_error_kind_name(err.kind)) + ": " +
+               err.message);
+        }
+        continue;
+      }
+      attached.fetch_add(1);
+      if (reader->producer_state() == shm::ProducerState::kInitializing) {
+        flag("attached a segment still initializing: " + seg.name);
+      } else if (reader->salvage_crash().kind != shm::kCrashSnapshot) {
+        flag("attached a segment without its first snapshot: " + seg.name);
+      }
+    }
+  }
+  armer.join();
+
+  EXPECT_GE(cycles, kCycles) << "arm failed mid-run";
+  EXPECT_GT(attached.load(), 0) << "never caught a live segment";
+  EXPECT_EQ(bad, 0) << "bad attaches, first: " << first_bad;
+  EXPECT_FALSE(shm::export_armed());
+  EXPECT_TRUE(shm::discover_segments(prefix).empty());
+  std::printf("publication race: %d cycles, %d attached, %d gone\n", cycles,
+              attached.load(), gone);
 }
 
 }  // namespace
