@@ -16,8 +16,8 @@
 #   * the perf-smoke lane (bench_event_path --smoke): every event-delivery
 #     mode end to end in ~2s, a sanity check that the benches still run —
 #     not a performance gate;
-#   * (default + asan) the load lane: the shm/fleet/chaos suites repeated
-#     next to one busy loop per core.
+#   * (default + asan) the load lane: the whole suite repeated next to
+#     one busy loop per core.
 # The tsan preset is the one that validates the lock-free event fast path
 # (collector_churn_test and friends must be race-free, see DESIGN.md §5.1)
 # and the SIGPROF signal-storm lane (signal_storm_test).
@@ -115,17 +115,15 @@ for preset in "${presets[@]}"; do
 
   if [ "$preset" = default ] || [ "$preset" = asan ]; then
     echo "=== [$preset] load lane ==="
-    # The shm, fleet and chaos suites, each repeated up to 10x, with one
-    # busy loop per core saturating the CPU: races an idle box hides
-    # (segment publication, salvage before the first beat, test teardown
-    # under a failed assertion) show up here. The full suite under load
-    # waits for the SampleBuffer try_lock drops (ROADMAP 1(b)):
-    # integration_pipeline_test still loses samples under contention.
+    # The whole suite, each test repeated up to 10x, with one busy loop
+    # per core saturating the CPU: races an idle box hides (segment
+    # publication, salvage before the first beat, test teardown under a
+    # failed assertion, threads sharing a gtid) show up here.
     for _ in $(seq "$(nproc)"); do
       ( while :; do :; done ) &
       load_hogs+=($!)
     done
-    ctest --preset "$preset" -R 'shm_|fleet|chaos' \
+    ctest --preset "$preset" \
       --repeat until-fail:10 -j "$(nproc)" --output-on-failure
     stop_load
   fi

@@ -3,9 +3,9 @@
 /// whose cost dominates the paper's overhead breakdown (Sec. V-B: 81-99% of
 /// the observed overhead is measurement/storage, not callbacks).
 ///
-/// Event samples go into preallocated per-thread ring-less buffers (drop +
-/// count on overflow, never block); join-time callstack records go into a
-/// per-thread growable store, since their cost is exactly what experiment
+/// Event samples go into single-writer per-OS-thread buffers (drop + count
+/// on overflow, never block); join-time callstack records go into a
+/// per-gtid growable store, since their cost is exactly what experiment
 /// E6 measures.
 #pragma once
 
@@ -13,7 +13,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/cacheline.hpp"
@@ -39,24 +38,21 @@ struct CallstackRecord {
   std::vector<const void*> frames;        ///< innermost first
 };
 
-/// Bounded append-only event buffer for one thread slot. Growth is
-/// amortized (the paper's "storage" cost the breakdown experiment
+/// Bounded append-only event buffer with a single writer: the OS thread
+/// that leased it from a SampleStore (SampleStore::local_buffer()). Growth
+/// is amortized (the paper's "storage" cost the breakdown experiment
 /// measures); beyond the hard cap samples are dropped and counted, never
-/// blocking the application.
-///
-/// Slots are normally single-writer (indexed by gtid), but slot *sharing*
-/// is legal — several MiniMPI rank masters all carry gtid 0, and unknown
-/// threads clamp to slot 0 — so the write side takes a per-buffer lock
-/// (uncontended in the common single-writer case).
+/// blocking the application. record() takes no lock; it is not signal-safe
+/// (it may grow the vector), so SIGPROF samples go to SignalSampleLane.
 class SampleBuffer {
  public:
   /// Set the hard cap and pre-reserve a modest initial block.
   void reserve(std::size_t capacity) {
-    std::scoped_lock lk(mu_);
     capacity_ = capacity;
     samples_.reserve(std::min<std::size_t>(capacity, 4096));
   }
 
+  /// Owner-only append.
   void record(const EventSample& s) {
     // Injected allocation failure behaves exactly like hitting the hard
     // cap: drop and count, never block or throw into the event path.
@@ -65,16 +61,6 @@ class SampleBuffer {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    // try_lock, never lock: record() is reachable from a signal handler
-    // interrupting the very thread that holds mu_ (a SIGPROF mid-record),
-    // where a blocking acquire would self-deadlock. Contention — including
-    // that reentrancy case — degrades to drop-and-count, same as the hard
-    // cap; dropped_ is atomic so the count never needs the lock.
-    if (!mu_.try_lock()) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    std::scoped_lock lk(std::adopt_lock, mu_);
     if (samples_.size() < capacity_) {
       samples_.push_back(s);
     } else {
@@ -82,22 +68,21 @@ class SampleBuffer {
     }
   }
 
-  /// Quiescent-side accessor: callers read after the producing threads
-  /// have joined (merge/report paths), so no snapshot copy is taken.
+  /// Quiescent-only: callers read after the writer has joined or handed
+  /// its lane back (merge/report paths), so no snapshot copy is taken.
   const std::vector<EventSample>& samples() const noexcept { return samples_; }
 
   std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
   }
 
+  /// Quiescent-only, like samples().
   void clear() noexcept {
-    std::scoped_lock lk(mu_);
     samples_.clear();
     dropped_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  mutable SpinLock mu_;
   std::size_t capacity_ = 0;
   std::vector<EventSample> samples_;
   std::atomic<std::uint64_t> dropped_{0};
@@ -107,10 +92,10 @@ class SampleBuffer {
 /// thread whose signal handler records into it), any number of quiescent
 /// readers. The array is preallocated up front — record() performs no
 /// allocation, locking, or syscalls, so it is the storage path a SIGPROF
-/// handler uses (SampleBuffer, in contrast, may grow its vector and only
-/// guarantees deadlock-freedom, not signal-safety). The crash postmortem
-/// flusher reads count() with acquire ordering from an arbitrary thread,
-/// which is why the counter publishes each slot with release semantics.
+/// handler uses (SampleBuffer, in contrast, may grow its vector). The crash
+/// postmortem flusher reads count() with acquire ordering from an arbitrary
+/// thread, which is why the counter publishes each slot with release
+/// semantics.
 class SignalSampleLane {
  public:
   explicit SignalSampleLane(std::size_t capacity)
@@ -153,17 +138,30 @@ class SignalSampleLane {
   std::atomic<std::uint64_t> dropped_{0};
 };
 
-/// Per-thread sample storage for one tool session.
+namespace detail {
+struct LanePool;
+}  // namespace detail
+
+/// Per-thread sample storage for one tool session. Event samples go into
+/// single-writer lanes leased per OS thread, not per gtid: several MiniMPI
+/// rank masters all carry gtid 0, and each still gets a lane of its own.
+/// A thread takes a lane on its first local_buffer() and hands it back when
+/// it exits; a later thread reuses it, so lanes are bounded by the number
+/// of recording threads alive at once. Merge, totals and clear() walk every
+/// lane and are quiescent-only.
 class SampleStore {
  public:
-  /// `threads` buffer slots (indexed by gtid), each preallocated to
-  /// `capacity` samples.
-  SampleStore(std::size_t threads, std::size_t capacity);
+  /// `callstack_slots` callstack slots (indexed by gtid); every event lane
+  /// is capped at `capacity` samples.
+  SampleStore(std::size_t callstack_slots, std::size_t capacity);
+  ~SampleStore();
+  SampleStore(const SampleStore&) = delete;
+  SampleStore& operator=(const SampleStore&) = delete;
 
-  /// Buffer of thread slot `tid` (clamped to the last slot).
-  SampleBuffer& buffer(int tid) noexcept;
+  /// The calling thread's event lane, leased on first use.
+  SampleBuffer& local_buffer();
 
-  /// Append a callstack record for thread slot `tid`.
+  /// Append a callstack record for gtid `tid` (clamped to the slot range).
   void record_callstack(int tid, CallstackRecord record);
 
   /// All event samples, merged across threads, ordered by tick.
@@ -172,9 +170,10 @@ class SampleStore {
   /// All callstack records, merged, ordered by tick.
   std::vector<CallstackRecord> merged_callstacks() const;
 
-  std::uint64_t total_samples() const noexcept;
-  std::uint64_t total_dropped() const noexcept;
-  std::size_t slots() const noexcept { return event_buffers_.size(); }
+  std::uint64_t total_samples() const;
+  std::uint64_t total_dropped() const;
+  /// Event lanes created so far (leased or free).
+  std::size_t lanes() const;
 
   void clear();
 
@@ -184,7 +183,9 @@ class SampleStore {
     std::vector<CallstackRecord> records;
   };
 
-  std::vector<CachePadded<SampleBuffer>> event_buffers_;
+  /// Shared with every lease, so a thread that outlives the store still
+  /// has somewhere to return its lane.
+  std::shared_ptr<detail::LanePool> pool_;
   std::vector<CachePadded<CallstackSlot>> callstack_slots_;
 };
 

@@ -144,7 +144,7 @@ void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
       }
     }
   }
-  store_->buffer(sample.tid).record(sample);
+  store_->local_buffer().record(sample);
 }
 
 perf::TraceData PrototypeCollector::trace_data() const {

@@ -81,7 +81,8 @@ struct ToolOptions {
   /// Per-thread event-sample capacity (preallocated; overflow drops).
   std::size_t sample_capacity = 1u << 20;
 
-  /// Thread slots in the sample store (>= max gtid + 1).
+  /// Callstack slots in the sample store (>= max gtid + 1). Event samples
+  /// need no sizing: each OS thread leases its own lane.
   std::size_t thread_slots = 65;
 
   perf::CounterSource counter = perf::CounterSource::kTsc;

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <latch>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "perf/counter.hpp"
 #include "perf/psx.h"
@@ -51,9 +54,19 @@ TEST(SampleBuffer, RecordsUntilCapThenDrops) {
 
 TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
   SampleStore store(4, 100);
-  store.buffer(0).record({30, 0, 1, 0});
-  store.buffer(2).record({10, 0, 1, 2});
-  store.buffer(1).record({20, 0, 2, 1});
+  // Three writers alive at once each hold a lane of their own, so the
+  // merge spans three lanes.
+  std::latch recorded(3);
+  std::vector<std::thread> writers;
+  for (const EventSample s : {EventSample{30, 0, 1, 0}, EventSample{10, 0, 1, 2},
+                              EventSample{20, 0, 2, 1}}) {
+    writers.emplace_back([&store, &recorded, s] {
+      store.local_buffer().record(s);
+      recorded.arrive_and_wait();
+    });
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_EQ(store.lanes(), 3u);
   const auto merged = store.merged_samples();
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].ticks, 10u);
@@ -65,8 +78,9 @@ TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
 
 TEST(SampleStore, TidClampingAndCallstacks) {
   SampleStore store(2, 10);
-  store.buffer(99).record({1, 0, 1, 99});  // clamps to last slot
-  store.buffer(-3).record({2, 0, 1, -3});  // clamps to slot 0
+  // Event samples land in the calling thread's lane whatever their tid.
+  store.local_buffer().record({1, 0, 1, 99});
+  store.local_buffer().record({2, 0, 1, -3});
   EXPECT_EQ(store.total_samples(), 2u);
 
   CallstackRecord rec;
@@ -74,8 +88,8 @@ TEST(SampleStore, TidClampingAndCallstacks) {
   rec.region_id = 7;
   rec.frames = {reinterpret_cast<const void*>(0x10),
                 reinterpret_cast<const void*>(0x20)};
-  store.record_callstack(1, rec);
-  store.record_callstack(0, {3, 1, nullptr, {}});
+  store.record_callstack(99, rec);                // clamps to last slot
+  store.record_callstack(-3, {3, 1, nullptr, {}});  // clamps to slot 0
   const auto stacks = store.merged_callstacks();
   ASSERT_EQ(stacks.size(), 2u);
   EXPECT_EQ(stacks[0].ticks, 3u);  // sorted by ticks
@@ -85,6 +99,61 @@ TEST(SampleStore, TidClampingAndCallstacks) {
   store.clear();
   EXPECT_EQ(store.total_samples(), 0u);
   EXPECT_TRUE(store.merged_callstacks().empty());
+}
+
+// Two MiniMPI rank masters both carry gtid 0; recording at the same time,
+// neither may lose a sample to the other.
+TEST(SampleStore, ConcurrentSameTidWritersDropNothing) {
+  constexpr int kPerThread = 20000;
+  SampleStore store(1, 1u << 20);
+  std::latch start(2);
+  auto writer = [&] {
+    start.arrive_and_wait();
+    for (int i = 0; i < kPerThread; ++i) {
+      store.local_buffer().record({static_cast<std::uint64_t>(i), 0, 1, 0});
+    }
+  };
+  std::thread a(writer);
+  std::thread b(writer);
+  a.join();
+  b.join();
+  EXPECT_EQ(store.total_samples(), 2u * kPerThread);
+  EXPECT_EQ(store.total_dropped(), 0u);
+  EXPECT_EQ(store.merged_samples().size(), 2u * kPerThread);
+}
+
+TEST(SampleStore, ExitedThreadsHandTheirLanesOn) {
+  SampleStore store(1, 16);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    std::thread([&store, i] { store.local_buffer().record({i, 0, 1, 0}); })
+        .join();
+  }
+  EXPECT_EQ(store.lanes(), 1u);
+  EXPECT_EQ(store.total_samples(), 3u);
+  store.clear();
+  EXPECT_EQ(store.total_samples(), 0u);
+}
+
+TEST(SampleStore, ThreadOutlivingTheStoreStillReturnsItsLane) {
+  auto store = std::make_unique<SampleStore>(1, 16);
+  std::latch recorded(2);
+  std::latch store_gone(1);
+  std::thread t([&] {
+    store->local_buffer().record({1, 0, 1, 0});
+    recorded.arrive_and_wait();
+    store_gone.wait();
+  });
+  recorded.arrive_and_wait();
+  EXPECT_EQ(store->total_samples(), 1u);
+  store.reset();
+  store_gone.count_down();
+  t.join();  // the lease hands its lane back to the orphaned pool
+
+  // A store created afterwards never sees a stale lane of the old one.
+  SampleStore next(1, 16);
+  next.local_buffer().record({2, 0, 1, 0});
+  EXPECT_EQ(next.total_samples(), 1u);
+  EXPECT_EQ(next.lanes(), 1u);
 }
 
 TEST(Trace, BinaryRoundTrip) {
