@@ -3,11 +3,11 @@
 /// noise (EPCC/NPB measure directive overhead end to end; this measures the
 /// three hot loops those numbers decompose into):
 ///
-///  * barrier round-trip — one arrive..release episode through
-///    `Runtime::explicit_barrier`, swept over barrier algorithm
-///    (ORCA_BARRIER=centralized|dissemination|tree) × thread count. The
-///    master times batches of `--inner` crossings; since a barrier holds
-///    the team in lockstep, its per-batch time is the team round-trip.
+///  * barrier round-trip — one arrive..release episode of the team
+///    barrier (a fanout-4 combining tree, row `algo` "tree") through
+///    `Runtime::explicit_barrier`, swept over thread count. The master
+///    times batches of `--inner` crossings; since a barrier holds the team
+///    in lockstep, its per-batch time is the team round-trip.
 ///  * spinlock acquire — one TTAS SpinLock lock/unlock under contention
 ///    from the rest of the team (non-masters hammer the lock until the
 ///    master's timed batches complete).
@@ -32,7 +32,6 @@
 #include "common/clock.hpp"
 #include "common/spinlock.hpp"
 #include "common/strutil.hpp"
-#include "runtime/barrier.hpp"
 #include "runtime/runtime.hpp"
 
 namespace {
@@ -40,7 +39,6 @@ namespace {
 using orca::SpinLock;
 using orca::SteadyClock;
 using orca::bench::Summary;
-using orca::rt::BarrierKind;
 using orca::rt::Runtime;
 using orca::rt::RuntimeConfig;
 using orca::rt::ThreadDescriptor;
@@ -121,11 +119,10 @@ struct Cell {
   Summary dist;
 };
 
-Cell run_cell(void (*microtask)(int, void*), BarrierKind algo, int threads,
-              int reps, int inner) {
+Cell run_cell(void (*microtask)(int, void*), int threads, int reps,
+              int inner) {
   RuntimeConfig cfg;
   cfg.num_threads = threads;
-  cfg.barrier = algo;
   Runtime rt(cfg);
   Runtime::make_current(&rt);
 
@@ -168,8 +165,8 @@ void print_row(orca::TextTable& table, const char* primitive,
 
 int main(int argc, char** argv) {
   const bool smoke = orca::bench::has_flag(argc, argv, "smoke");
-  // Batch counts sized for the worst cell (oversubscribed dissemination on
-  // a small host): every barrier crossing can cost scheduling quanta.
+  // Batch counts sized for the worst cell (the widest barrier team on a
+  // small host): every barrier crossing can cost scheduling quanta.
   const int reps = orca::bench::flag_int(argc, argv, "reps", smoke ? 8 : 20);
   const int barrier_inner =
       orca::bench::flag_int(argc, argv, "inner", smoke ? 30 : 100);
@@ -177,9 +174,6 @@ int main(int argc, char** argv) {
 
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
-  const BarrierKind algos[] = {BarrierKind::kCentralized,
-                               BarrierKind::kDissemination,
-                               BarrierKind::kTree};
 
   std::printf("Synchronization primitives: ns/op, %d batches "
               "(barrier inner=%d, lock/emit inner=%d)%s\n\n",
@@ -187,23 +181,19 @@ int main(int argc, char** argv) {
   orca::TextTable table(
       {"primitive", "algo", "threads", "mean ns", "p50 ns", "p99 ns"});
 
-  for (const BarrierKind algo : algos) {
-    for (const int threads : thread_counts) {
-      const Cell cell =
-          run_cell(&barrier_microtask, algo, threads, reps, barrier_inner);
-      print_row(table, "barrier", orca::rt::barrier_kind_name(algo), threads,
-                reps, barrier_inner, cell.dist);
-    }
+  for (const int threads : thread_counts) {
+    const Cell cell =
+        run_cell(&barrier_microtask, threads, reps, barrier_inner);
+    print_row(table, "barrier", "tree", threads, reps, barrier_inner,
+              cell.dist);
   }
   for (const int threads : thread_counts) {
-    const Cell cell = run_cell(&spinlock_microtask, BarrierKind::kCentralized,
-                               threads, reps, op_inner);
+    const Cell cell = run_cell(&spinlock_microtask, threads, reps, op_inner);
     print_row(table, "spinlock_acquire", "none", threads, reps, op_inner,
               cell.dist);
   }
   for (const int threads : thread_counts) {
-    const Cell cell = run_cell(&emit_microtask, BarrierKind::kCentralized,
-                               threads, reps, op_inner);
+    const Cell cell = run_cell(&emit_microtask, threads, reps, op_inner);
     print_row(table, "disarmed_emit", "none", threads, reps, op_inner,
               cell.dist);
   }

@@ -27,7 +27,7 @@
 # run leaves a perf paper trail to diff across commits:
 #   BENCH_event_path.json          — bench_event_path --smoke rows
 #   BENCH_primitives.json          — bench_primitives --smoke rows
-#                                    (barrier algos × threads, spinlock,
+#                                    (barrier × threads, spinlock,
 #                                    disarmed emit)
 #   BENCH_pipeline.json            — bench_pipeline --smoke rows
 #                                    (events/s vs stage chain depth)

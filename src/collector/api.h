@@ -166,10 +166,6 @@ typedef struct orca_telemetry_snapshot {
   unsigned long long generations_published; /**< callback-table publishes   */
   unsigned long long generations_retired;   /**< generations freed          */
   unsigned long long retire_latency_ns_max; /**< worst grace-period latency */
-  unsigned long long barrier_algorithm;     /**< 1 + the runtime's barrier
-                                                 kind (1 centralized,
-                                                 2 dissemination, 3 tree);
-                                                 see ORCA_BARRIER          */
 } orca_telemetry_snapshot;
 
 /// Reply payload of ORCA_REQ_RESILIENCE_STATS: counters of the resilience

@@ -3,25 +3,17 @@
 #include <chrono>
 #include <thread>
 
-namespace orca::rt {
+#include "common/spinlock.hpp"
 
-const char* barrier_kind_name(BarrierKind kind) noexcept {
-  switch (kind) {
-    case BarrierKind::kCentralized: return "centralized";
-    case BarrierKind::kDissemination: return "dissemination";
-    case BarrierKind::kTree: return "tree";
-  }
-  return "?";
-}
+namespace orca::rt {
 
 namespace {
 
-/// Flag-spin helper for the dissemination/tree algorithms: bounded busy
-/// spin, then OS yields, then short sleeps. The sleep tier matters on the
-/// oversubscribed configurations (32 threads on one core): a pure yield
-/// loop stays live but can starve the signalling thread of whole
-/// scheduling quanta, while a 50µs nap lets stragglers through without
-/// the cost of a full futex rendezvous per flag.
+/// Flag-spin helper: bounded busy spin, then OS yields, then short sleeps.
+/// The sleep tier matters on the oversubscribed configurations (32 threads
+/// on one core): a pure yield loop stays live but can starve the signalling
+/// thread of whole scheduling quanta, while a 50µs nap lets stragglers
+/// through without the cost of a full futex rendezvous per flag.
 class FlagWait {
  public:
   void pause() noexcept {
@@ -40,77 +32,12 @@ class FlagWait {
   int waits_ = 0;
 };
 
-int ceil_log2(int n) noexcept {
-  int rounds = 0;
-  for (int reach = 1; reach < n; reach <<= 1) ++rounds;
-  return rounds;
-}
-
 }  // namespace
-
-// --- centralized ------------------------------------------------------------
-
-void CentralizedBarrier::arrive_and_wait(int tid) {
-  (void)tid;  // the counter is the rendezvous; member identity is irrelevant
-  if (size_ <= 1) return;
-  const std::uint64_t gen = generation_.load(std::memory_order_acquire);
-  if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == size_) {
-    arrived_.store(0, std::memory_order_relaxed);
-    {
-      // The lock orders the generation flip with a waiter's predicate
-      // check; without it a late sleeper could miss the wake-up forever.
-      std::scoped_lock lk(mu_);
-      generation_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
-    return;
-  }
-  for (int i = 0; i < kSpinBeforeYield; ++i) {
-    if (generation_.load(std::memory_order_acquire) != gen) return;
-    cpu_relax();
-  }
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return generation_.load(std::memory_order_acquire) != gen;
-  });
-}
-
-// --- dissemination ----------------------------------------------------------
-
-void DisseminationBarrier::init(int size) {
-  size_ = size;
-  rounds_ = ceil_log2(size);
-  if (slots_.size() < static_cast<std::size_t>(size)) {
-    slots_ = std::vector<CachePadded<Slot>>(static_cast<std::size_t>(size));
-    return;  // freshly value-initialized: all inboxes and episodes are 0
-  }
-  for (auto& slot : slots_) {
-    slot->episode = 0;
-    for (auto& inbox : slot->inbox) inbox.store(0, std::memory_order_relaxed);
-  }
-}
-
-void DisseminationBarrier::arrive_and_wait(int tid) {
-  if (size_ <= 1) return;
-  Slot& self = *slots_[static_cast<std::size_t>(tid)];
-  const std::uint64_t gen = ++self.episode;
-  for (int r = 0; r < rounds_; ++r) {
-    const int peer = (tid + (1 << r)) % size_;
-    // Signal the round-r partner, then wait for our own round-r signal.
-    // Episode numbers only grow, so a partner already in the *next*
-    // episode (it finished this barrier and re-entered) satisfies the
-    // `>=` wait — the reuse case sense-reversal bits get wrong.
-    slots_[static_cast<std::size_t>(peer)]->inbox[r].store(
-        gen, std::memory_order_release);
-    FlagWait wait;
-    while (self.inbox[r].load(std::memory_order_acquire) < gen) wait.pause();
-  }
-}
-
-// --- tree -------------------------------------------------------------------
 
 void TreeBarrier::init(int size) {
   size_ = size;
+  // A serial team never touches the tree; the next larger init resets it.
+  if (size <= 1) return;
   if (nodes_.size() < static_cast<std::size_t>(size)) {
     nodes_ = std::vector<CachePadded<Node>>(static_cast<std::size_t>(size));
   } else {
@@ -147,25 +74,6 @@ void TreeBarrier::arrive_and_wait(int tid) {
   self.arrived.store(gen, std::memory_order_release);
   FlagWait wait;
   while (release_->load(std::memory_order_acquire) < gen) wait.pause();
-}
-
-// --- facade -----------------------------------------------------------------
-
-void TeamBarrier::init(BarrierKind kind, int size) {
-  if (impl_ == nullptr || impl_->kind() != kind) {
-    switch (kind) {
-      case BarrierKind::kDissemination:
-        impl_ = std::make_unique<DisseminationBarrier>();
-        break;
-      case BarrierKind::kTree:
-        impl_ = std::make_unique<TreeBarrier>();
-        break;
-      case BarrierKind::kCentralized:
-        impl_ = std::make_unique<CentralizedBarrier>();
-        break;
-    }
-  }
-  impl_->init(size);
 }
 
 }  // namespace orca::rt

@@ -92,32 +92,6 @@ bool RuntimeConfig::parse_telemetry_mode(const std::string& text,
   return true;
 }
 
-bool RuntimeConfig::parse_barrier_kind(const std::string& text,
-                                       BarrierKind* kind) {
-  const std::string s = ascii_lower(text);
-  if (s == "centralized" || s == "central") {
-    *kind = BarrierKind::kCentralized;
-  } else if (s == "dissemination" || s == "dissem") {
-    *kind = BarrierKind::kDissemination;
-  } else if (s == "tree" || s == "hierarchical") {
-    *kind = BarrierKind::kTree;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-BarrierKind RuntimeConfig::barrier_kind_from_env() {
-  BarrierKind kind = BarrierKind::kCentralized;
-  env_parsed(
-      "ORCA_BARRIER",
-      [&kind](const std::string& text) {
-        return parse_barrier_kind(text, &kind);
-      },
-      "centralized|dissemination|tree", "centralized");
-  return kind;
-}
-
 bool RuntimeConfig::shm_export_from_env() {
   return env::get_bool("ORCA_SHM_EXPORT", false);
 }
@@ -208,8 +182,8 @@ RuntimeConfig RuntimeConfig::from_env() {
     cfg.telemetry_trace = *trace;
   }
   // Shm export knobs (docs/FLEET.md) are env-backed *defaults* — read at
-  // RuntimeConfig construction like ORCA_BARRIER, so they reach every
-  // process in a fleet, not just from_env() callers.
+  // RuntimeConfig construction, so they reach every process in a fleet,
+  // not just from_env() callers.
   // Resilience knobs use the same warn-and-default contract: a typo'd
   // value must never silently disarm crash dumps or the watchdog.
   if (const auto dump = env::get("ORCA_CRASH_DUMP")) {

@@ -121,11 +121,6 @@ Runtime::Runtime(RuntimeConfig cfg)
         (config_.telemetry_metrics ? telemetry::kMetricsBit : 0);
     telemetry::arm(telemetry_bits_);
     telemetry::name_thread("master");
-    // Surface the selected barrier algorithm in the metrics registry
-    // (1 + BarrierKind so 0 keeps meaning "never recorded").
-    telemetry::gauge_max(
-        telemetry::Gauge::kBarrierAlgorithm,
-        static_cast<std::uint64_t>(config_.barrier) + 1);
   }
   serial_master_.gtid = 0;
   serial_master_.runtime = this;
@@ -368,7 +363,7 @@ void Runtime::fork(Microtask fn, void* frame, int num_threads) {
   telemetry::record_span(telemetry::SpanKind::kParallelRegion,
                          telemetry::Phase::kBegin,
                          static_cast<std::uint32_t>(rid));
-  team_.reset_for_region(rid, 0UL, n, fn, frame, config_.barrier);
+  team_.reset_for_region(rid, 0UL, n, fn, frame);
   {
     std::scoped_lock lk(regions_mu_);
     ++region_calls_[reinterpret_cast<void*>(fn)];
@@ -453,7 +448,7 @@ void Runtime::fork_nested(ThreadDescriptor& parent, Microtask fn, void* frame,
       next_region_id_.fetch_add(1, std::memory_order_relaxed));
   const unsigned long parent_rid =
       parent.team != nullptr ? parent.team->region_id : 0;
-  team->reset_for_region(rid, parent_rid, n, fn, frame, config_.barrier);
+  team->reset_for_region(rid, parent_rid, n, fn, frame);
   team->parent_team = parent.team;
   {
     std::scoped_lock lk(regions_mu_);
@@ -704,10 +699,6 @@ OMP_COLLECTORAPI_EC Runtime::provider_telemetry_snapshot(
       m.histograms[static_cast<std::size_t>(
                        telemetry::Histogram::kRetireLatencyNs)]
           .max_ns;
-  // Deterministic per this runtime's config (like the supported check
-  // above), not the cross-runtime gauge: 1 + BarrierKind.
-  out->barrier_algorithm =
-      static_cast<unsigned long long>(rt.config_.barrier) + 1;
   return OMP_ERRCODE_OK;
 }
 

@@ -318,7 +318,6 @@ const char* gauge_name(Gauge g) noexcept {
   switch (g) {
     case Gauge::kTaskQueueDepth: return "task_queue_depth_hwm";
     case Gauge::kRingOccupancy: return "ring_occupancy_hwm";
-    case Gauge::kBarrierAlgorithm: return "barrier_algorithm";
     case Gauge::kCount: break;
   }
   return "?";

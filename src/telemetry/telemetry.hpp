@@ -133,8 +133,6 @@ enum class Counter : std::uint8_t {
 enum class Gauge : std::uint8_t {
   kTaskQueueDepth = 0,  ///< deepest deferred-task queue observed
   kRingOccupancy,       ///< fullest event ring observed (records)
-  kBarrierAlgorithm,    ///< 1 + BarrierKind of the last runtime armed
-                        ///< (0 = never recorded; see ORCA_BARRIER)
   kCount
 };
 

@@ -1,11 +1,10 @@
-/// Barrier-algorithm torture tests, parameterized over every ORCA_BARRIER
-/// value: randomized team sizes, repeated team-descriptor reuse (the
-/// runtime recycles one top-level TeamDescriptor, so `init()` runs per
-/// region on warm state — where stale sense bits or episode counters
-/// would bite), oversubscription (threads ≫ cores), true nested regions,
-/// and process-fork survival. The invariant checked everywhere is the
-/// barrier contract itself: after crossing, every team member observes
-/// all n phase arrivals.
+/// Team-barrier torture tests: randomized team sizes, repeated
+/// team-descriptor reuse (the runtime recycles one top-level
+/// TeamDescriptor, so `init()` runs per region on warm state — where stale
+/// episode counters would bite), oversubscription (threads ≫ cores), true
+/// nested regions, and process-fork survival. The invariant checked
+/// everywhere is the barrier contract itself: after crossing, every team
+/// member observes all n phase arrivals.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -20,7 +19,6 @@
 
 namespace {
 
-using orca::rt::BarrierKind;
 using orca::rt::Runtime;
 using orca::rt::RuntimeConfig;
 
@@ -49,17 +47,13 @@ bool lockstep_ok(int n, int phases) {
   return ok.load();
 }
 
-class BarrierTorture : public ::testing::TestWithParam<BarrierKind> {
- protected:
-  RuntimeConfig config(int num_threads) const {
-    RuntimeConfig cfg;
-    cfg.barrier = GetParam();
-    cfg.num_threads = num_threads;
-    return cfg;
-  }
-};
+RuntimeConfig config(int num_threads) {
+  RuntimeConfig cfg;
+  cfg.num_threads = num_threads;
+  return cfg;
+}
 
-TEST_P(BarrierTorture, RandomizedTeamSizes) {
+TEST(BarrierTorture, RandomizedTeamSizes) {
   Runtime rt(config(4));
   Runtime::make_current(&rt);
   // Seeded: a failure reproduces. Sizes span serial (1) to heavily
@@ -73,31 +67,34 @@ TEST_P(BarrierTorture, RandomizedTeamSizes) {
   Runtime::make_current(nullptr);
 }
 
-TEST_P(BarrierTorture, InitReuseAcrossShrinkAndGrow) {
+TEST(BarrierTorture, InitReuseAcrossShrinkAndGrow) {
   Runtime rt(config(4));
   Runtime::make_current(&rt);
   // Deterministic worst-case reuse pattern for generation/flag state:
   // serial regions interleaved with the extremes, on one recycled
-  // TeamDescriptor whose barrier keeps its allocation across same-kind
-  // init() calls.
-  for (const int n : {1, 32, 2, 17, 1, 8, 32, 3, 1, 16}) {
+  // TeamDescriptor whose barrier keeps its allocation across init()
+  // calls. 4/5/6 and 20/21/22 straddle the tree's level boundaries
+  // (1+4 and 1+4+16 nodes), where the last parent has a partial set of
+  // children.
+  for (const int n :
+       {1, 32, 2, 17, 1, 8, 32, 3, 1, 16, 4, 5, 6, 1, 20, 21, 22, 5}) {
     EXPECT_TRUE(lockstep_ok(n, 4)) << "size " << n;
   }
   Runtime::make_current(nullptr);
 }
 
-TEST_P(BarrierTorture, OversubscribedLockstep) {
+TEST(BarrierTorture, OversubscribedLockstep) {
   Runtime rt(config(32));
   Runtime::make_current(&rt);
-  // threads ≫ cores: every wait path (spin, yield, sleep escalation, CV)
-  // is exercised because the team cannot run simultaneously.
+  // threads ≫ cores: every wait path (spin, yield, sleep escalation) is
+  // exercised because the team cannot run simultaneously.
   for (int region = 0; region < 3; ++region) {
     EXPECT_TRUE(lockstep_ok(32, 3)) << "region " << region;
   }
   Runtime::make_current(nullptr);
 }
 
-TEST_P(BarrierTorture, NestedRegionsKeepLockstep) {
+TEST(BarrierTorture, NestedRegionsKeepLockstep) {
   RuntimeConfig cfg = config(3);
   cfg.nested = true;
   Runtime rt(cfg);
@@ -133,7 +130,7 @@ TEST_P(BarrierTorture, NestedRegionsKeepLockstep) {
   Runtime::make_current(nullptr);
 }
 
-TEST_P(BarrierTorture, SurvivesProcessFork) {
+TEST(BarrierTorture, SurvivesProcessFork) {
   // Same skip as process_fork_test's rearm case: the child rebuilds the
   // worker pool, and TSan forbids creating threads after a
   // multi-threaded fork (die_after_fork).
@@ -154,9 +151,9 @@ TEST_P(BarrierTorture, SurvivesProcessFork) {
   ASSERT_NE(pid, -1);
   if (pid == 0) {
     // Child: only the forking thread crossed; the pool rebuilds lazily on
-    // the next region. The barrier (same algorithm, warm generation
-    // state) must still uphold lockstep. _exit is the only sanctioned
-    // way out of a forked multithreaded process.
+    // the next region. The barrier (warm generation state) must still
+    // uphold lockstep. _exit is the only sanctioned way out of a forked
+    // multithreaded process.
     ::_exit(lockstep_ok(2, 2) ? 0 : 1);
   }
   // Parent: collection and synchronization continue unperturbed.
@@ -167,13 +164,5 @@ TEST_P(BarrierTorture, SurvivesProcessFork) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
   Runtime::make_current(nullptr);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Algorithms, BarrierTorture,
-    ::testing::Values(BarrierKind::kCentralized, BarrierKind::kDissemination,
-                      BarrierKind::kTree),
-    [](const ::testing::TestParamInfo<BarrierKind>& info) {
-      return std::string(orca::rt::barrier_kind_name(info.param));
-    });
 
 }  // namespace

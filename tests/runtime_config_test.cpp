@@ -5,14 +5,10 @@
 #include <cstdlib>
 #include <string>
 
-#include "collector/message.hpp"
 #include "runtime/config.hpp"
-#include "runtime/runtime.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace {
 
-using orca::rt::BarrierKind;
 using orca::rt::RuntimeConfig;
 using orca::rt::Schedule;
 using orca::rt::ScheduleSpec;
@@ -173,97 +169,10 @@ TEST(ConfigDefaults, TelemetryOff) {
   EXPECT_GT(cfg.telemetry_ring_capacity, 0u);
 }
 
-TEST(BarrierKindParse, ParsesEveryKeyword) {
-  BarrierKind kind = BarrierKind::kTree;
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("centralized", &kind));
-  EXPECT_EQ(kind, BarrierKind::kCentralized);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("DISSEMINATION", &kind));
-  EXPECT_EQ(kind, BarrierKind::kDissemination);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("Tree", &kind));
-  EXPECT_EQ(kind, BarrierKind::kTree);
-  EXPECT_TRUE(RuntimeConfig::parse_barrier_kind("hierarchical", &kind));
-  EXPECT_EQ(kind, BarrierKind::kTree);
-}
-
-TEST(BarrierKindParse, RejectsGarbageLeavingKindUntouched) {
-  BarrierKind kind = BarrierKind::kDissemination;
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("bogus", &kind));
-  EXPECT_EQ(kind, BarrierKind::kDissemination);  // untouched on failure
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("", &kind));
-  EXPECT_FALSE(RuntimeConfig::parse_barrier_kind("tree ", &kind));
-}
-
-TEST(ConfigFromEnv, ReadsBarrierKind) {
-  const struct {
-    const char* text;
-    BarrierKind kind;
-  } cases[] = {
-      {"centralized", BarrierKind::kCentralized},
-      {"dissemination", BarrierKind::kDissemination},
-      {"tree", BarrierKind::kTree},
-  };
-  for (const auto& c : cases) {
-    ::setenv("ORCA_BARRIER", c.text, 1);
-    EXPECT_EQ(RuntimeConfig::from_env().barrier, c.kind) << c.text;
-    // The knob must also reach *default-constructed* configs — the ctest
-    // per-algorithm instances env-inject ORCA_BARRIER into tests and
-    // benches that never call from_env().
-    const RuntimeConfig defaulted;
-    EXPECT_EQ(defaulted.barrier, c.kind) << c.text;
-  }
-  ::unsetenv("ORCA_BARRIER");
-}
-
-TEST(ConfigFromEnv, WarnsAndDefaultsOnBadBarrierValue) {
-  ::setenv("ORCA_BARRIER", "hypercube", 1);
-  ::testing::internal::CaptureStderr();
-  const RuntimeConfig cfg;
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(cfg.barrier, BarrierKind::kCentralized);
-  EXPECT_NE(warning.find("ORCA_BARRIER"), std::string::npos) << warning;
-  EXPECT_NE(warning.find("hypercube"), std::string::npos) << warning;
-  ::unsetenv("ORCA_BARRIER");
-}
-
-TEST(ConfigDefaults, BarrierCentralized) {
-  ::unsetenv("ORCA_BARRIER");
-  const RuntimeConfig cfg;
-  EXPECT_EQ(cfg.barrier, BarrierKind::kCentralized);
-  EXPECT_STREQ(orca::rt::barrier_kind_name(cfg.barrier), "centralized");
-}
-
-TEST(BarrierTelemetry, SelectedAlgorithmSurfaces) {
-  using orca::collector::MessageBuilder;
-  using orca::rt::Runtime;
-  EXPECT_STREQ(
-      orca::telemetry::gauge_name(orca::telemetry::Gauge::kBarrierAlgorithm),
-      "barrier_algorithm");
-
-  // The snapshot answers 1 + BarrierKind deterministically from this
-  // runtime's config; the metrics gauge records the same value (monotone
-  // max across runtimes, so assert >= under parallel test storms).
-  RuntimeConfig cfg;
-  cfg.telemetry_metrics = true;
-  cfg.barrier = BarrierKind::kDissemination;
-  Runtime rt(cfg);
-  MessageBuilder msg;
-  msg.add_telemetry_query();
-  rt.collector_api(msg.buffer());
-  ASSERT_EQ(msg.errcode(0), OMP_ERRCODE_OK);
-  orca_telemetry_snapshot snap = {};
-  msg.reply_value(0, &snap);
-  EXPECT_EQ(snap.barrier_algorithm,
-            static_cast<unsigned long long>(BarrierKind::kDissemination) + 1);
-  const orca::telemetry::MetricsView m = orca::telemetry::metrics();
-  EXPECT_GE(m.gauges[static_cast<std::size_t>(
-                orca::telemetry::Gauge::kBarrierAlgorithm)],
-            static_cast<std::uint64_t>(BarrierKind::kDissemination) + 1);
-}
-
 TEST(ConfigFromEnv, ShmKnobsReachDefaultConstructedConfigs) {
   // A fleet operator arms export by environment on whole process trees;
   // tools and benches that build `RuntimeConfig cfg;` by hand (never
-  // calling from_env) must honour it, exactly like ORCA_BARRIER.
+  // calling from_env) must honour it too.
   ::setenv("ORCA_SHM_EXPORT", "1", 1);
   ::setenv("ORCA_SHM_PREFIX", "orcaknob", 1);
   ::setenv("ORCA_SHM_RING_CAPACITY", "512", 1);

@@ -231,7 +231,9 @@ TEST(Guided, ChunksShrinkMonotonically) {
   long long covered = 0;
   for (std::size_t i = 0; i < chunk_sizes.size(); ++i) {
     covered += chunk_sizes[i];
-    if (i > 0) EXPECT_LE(chunk_sizes[i], chunk_sizes[i - 1]) << i;
+    if (i > 0) {
+      EXPECT_LE(chunk_sizes[i], chunk_sizes[i - 1]) << i;
+    }
   }
   EXPECT_EQ(covered, 10000);
   EXPECT_GT(chunk_sizes.front(), chunk_sizes.back());

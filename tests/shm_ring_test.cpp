@@ -106,7 +106,9 @@ TEST(ShmRing, WraparoundChargesLossHonestly) {
     const Poll p = ring.poll(cur, &rec);
     if (p == Poll::kEmpty) break;
     if (p == Poll::kRecord) {
-      if (!first) EXPECT_GT(rec.ns, last_ns) << "reads out of order";
+      if (!first) {
+        EXPECT_GT(rec.ns, last_ns) << "reads out of order";
+      }
       last_ns = rec.ns;
       first = false;
     }
