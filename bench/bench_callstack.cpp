@@ -1,10 +1,12 @@
 /// E9 — costs of the PerfSuite/libpsx extensions (paper Sec. IV-F):
-/// callstack capture at a join event, instruction-pointer symbolization
-/// (region hit vs. dynamic-symbol vs. unknown), and offline user-model
-/// reconstruction.
+/// callstack capture at a join event (depth 80 exceeds kMaxFrames),
+/// instruction-pointer symbolization (region hit vs. dynamic-symbol vs.
+/// unknown), and offline user-model reconstruction, per record and as the
+/// interned profile the tool's finalize builds.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "perf/psx.h"
 #include "translate/region_registry.hpp"
@@ -15,21 +17,21 @@
 namespace {
 
 /// Build some genuine stack depth before capturing.
-__attribute__((noinline)) std::size_t capture_at_depth(int depth) {
+__attribute__((noinline)) orca::unwind::Callstack capture_at_depth(int depth) {
   if (depth > 0) {
     benchmark::ClobberMemory();
     return capture_at_depth(depth - 1);
   }
-  return orca::unwind::Callstack::capture().depth();
+  return orca::unwind::Callstack::capture();
 }
 
 void BM_CallstackCapture(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(capture_at_depth(depth));
+    benchmark::DoNotOptimize(capture_at_depth(depth).depth());
   }
 }
-BENCHMARK(BM_CallstackCapture)->Arg(4)->Arg(16)->Arg(48);
+BENCHMARK(BM_CallstackCapture)->Arg(4)->Arg(16)->Arg(48)->Arg(80);
 
 void BM_PsxCallstackGet(benchmark::State& state) {
   const void* frames[64];
@@ -76,6 +78,26 @@ void BM_UserModelReconstruct(benchmark::State& state) {
   state.SetLabel("frames=" + std::to_string(raw.size()));
 }
 BENCHMARK(BM_UserModelReconstruct);
+
+void BM_InternedProfile(benchmark::State& state) {
+  // N join records over K distinct stacks, tallied and reconstructed the
+  // way PrototypeCollector::finalize does: each distinct stack once.
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const auto distinct = static_cast<int>(state.range(1));
+  std::vector<orca::unwind::Callstack> stacks;
+  for (int k = 0; k < distinct; ++k) stacks.push_back(capture_at_depth(k));
+  for (auto _ : state) {
+    orca::unwind::StackTally tally;
+    for (std::size_t i = 0; i < records; ++i) {
+      tally.add(nullptr, stacks[i % stacks.size()].frames());
+    }
+    benchmark::DoNotOptimize(tally.profile());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records));
+  state.SetLabel("records=" + std::to_string(records) +
+                 " stacks=" + std::to_string(distinct));
+}
+BENCHMARK(BM_InternedProfile)->Args({30000, 8})->Args({30000, 64});
 
 void BM_PsxTimerRead(benchmark::State& state) {
   for (auto _ : state) {

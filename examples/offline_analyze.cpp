@@ -83,13 +83,11 @@ void analyze(const std::string& path) {
   std::printf("parallel regions: %llu, total fork->join time: %.6fs\n\n",
               static_cast<unsigned long long>(regions), total);
 
-  // User-model callstack profile.
-  std::map<std::string, std::uint64_t> profile;
-  for (const auto& rec : data.callstacks) {
-    ++profile[orca::unwind::reconstruct(rec.frames, rec.region_fn).render()];
-  }
+  // User-model callstack profile, reconstructing each distinct stack once.
+  orca::unwind::StackTally tally;
+  for (const auto& rec : data.callstacks) tally.add(rec.region_fn, rec.frames);
   std::printf("user-model callstack profile:\n");
-  for (const auto& [stack, count] : profile) {
+  for (const auto& [stack, count] : tally.profile()) {
     std::printf("%llu samples at:\n%s",
                 static_cast<unsigned long long>(count), stack.c_str());
   }

@@ -4,6 +4,8 @@
 #include <deque>
 #include <mutex>
 
+#include "common/cacheline.hpp"
+
 namespace orca::perf {
 
 namespace detail {
@@ -87,9 +89,8 @@ SampleBuffer& lease_slow(const std::shared_ptr<LanePool>& pool) {
 
 }  // namespace
 
-SampleStore::SampleStore(std::size_t callstack_slots, std::size_t capacity)
-    : pool_(std::make_shared<LanePool>(capacity)),
-      callstack_slots_(std::max<std::size_t>(callstack_slots, 1)) {}
+SampleStore::SampleStore(std::size_t capacity)
+    : pool_(std::make_shared<LanePool>(capacity)) {}
 
 SampleStore::~SampleStore() {
   pool_->store_alive.store(false, std::memory_order_relaxed);
@@ -100,25 +101,17 @@ SampleBuffer& SampleStore::local_buffer() {
   return lease_slow(pool_);
 }
 
-void SampleStore::record_callstack(int tid, CallstackRecord record) {
-  const auto slot =
-      tid >= 0 ? std::min(static_cast<std::size_t>(tid),
-                          callstack_slots_.size() - 1)
-               : 0;
-  CallstackSlot& cs = *callstack_slots_[slot];
-  std::scoped_lock lk(cs.mu);
-  cs.records.push_back(std::move(record));
+void SampleStore::for_each_lane(
+    const std::function<void(const SampleBuffer&)>& fn) const {
+  std::scoped_lock lk(pool_->mu);
+  for (const auto& lane : pool_->lanes) fn(*lane);
 }
 
 std::vector<EventSample> SampleStore::merged_samples() const {
   std::vector<EventSample> out;
-  {
-    std::scoped_lock lk(pool_->mu);
-    for (const auto& lane : pool_->lanes) {
-      const auto& s = lane->samples();
-      out.insert(out.end(), s.begin(), s.end());
-    }
-  }
+  for_each_lane([&](const SampleBuffer& lane) {
+    out.insert(out.end(), lane.samples().begin(), lane.samples().end());
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const EventSample& a, const EventSample& b) {
                      return a.ticks < b.ticks;
@@ -128,10 +121,13 @@ std::vector<EventSample> SampleStore::merged_samples() const {
 
 std::vector<CallstackRecord> SampleStore::merged_callstacks() const {
   std::vector<CallstackRecord> out;
-  for (const auto& slot : callstack_slots_) {
-    std::scoped_lock lk(slot->mu);
-    out.insert(out.end(), slot->records.begin(), slot->records.end());
-  }
+  for_each_lane([&](const SampleBuffer& lane) {
+    for (const StackHeader& h : lane.stacks()) {
+      const auto frames = lane.frames(h);
+      out.push_back({h.ticks, h.region_id, h.region_fn,
+                     std::vector<const void*>(frames.begin(), frames.end())});
+    }
+  });
   std::stable_sort(out.begin(), out.end(),
                    [](const CallstackRecord& a, const CallstackRecord& b) {
                      return a.ticks < b.ticks;
@@ -140,16 +136,14 @@ std::vector<CallstackRecord> SampleStore::merged_callstacks() const {
 }
 
 std::uint64_t SampleStore::total_samples() const {
-  std::scoped_lock lk(pool_->mu);
   std::uint64_t n = 0;
-  for (const auto& lane : pool_->lanes) n += lane->samples().size();
+  for_each_lane([&](const SampleBuffer& lane) { n += lane.samples().size(); });
   return n;
 }
 
 std::uint64_t SampleStore::total_dropped() const {
-  std::scoped_lock lk(pool_->mu);
   std::uint64_t n = 0;
-  for (const auto& lane : pool_->lanes) n += lane->dropped();
+  for_each_lane([&](const SampleBuffer& lane) { n += lane.dropped(); });
   return n;
 }
 
@@ -159,14 +153,8 @@ std::size_t SampleStore::lanes() const {
 }
 
 void SampleStore::clear() {
-  {
-    std::scoped_lock lk(pool_->mu);
-    for (auto& lane : pool_->lanes) lane->clear();
-  }
-  for (auto& slot : callstack_slots_) {
-    std::scoped_lock lk(slot->mu);
-    slot->records.clear();
-  }
+  std::scoped_lock lk(pool_->mu);
+  for (auto& lane : pool_->lanes) lane->clear();
 }
 
 }  // namespace orca::perf

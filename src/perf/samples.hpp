@@ -3,20 +3,20 @@
 /// whose cost dominates the paper's overhead breakdown (Sec. V-B: 81-99% of
 /// the observed overhead is measurement/storage, not callbacks).
 ///
-/// Event samples go into single-writer per-OS-thread buffers (drop + count
-/// on overflow, never block); join-time callstack records go into a
-/// per-gtid growable store, since their cost is exactly what experiment
-/// E6 measures.
+/// Event samples and join-time callstack records go into single-writer
+/// per-OS-thread lanes: events drop + count on overflow, never block;
+/// callstacks append to a flat frame arena, since their cost is exactly
+/// what experiment E6 measures.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "common/cacheline.hpp"
-#include "common/spinlock.hpp"
 #include "testing/fault_injection.hpp"
 
 namespace orca::perf {
@@ -30,7 +30,7 @@ struct EventSample {
 };
 
 /// One join-time callstack record (implementation model, reconstructed to
-/// the user model offline).
+/// the user model offline): the exported, self-contained form.
 struct CallstackRecord {
   std::uint64_t ticks = 0;
   std::uint64_t region_id = 0;
@@ -38,12 +38,23 @@ struct CallstackRecord {
   std::vector<const void*> frames;        ///< innermost first
 };
 
-/// Bounded append-only event buffer with a single writer: the OS thread
-/// that leased it from a SampleStore (SampleStore::local_buffer()). Growth
-/// is amortized (the paper's "storage" cost the breakdown experiment
-/// measures); beyond the hard cap samples are dropped and counted, never
-/// blocking the application. record() takes no lock; it is not signal-safe
-/// (it may grow the vector), so SIGPROF samples go to SignalSampleLane.
+/// A callstack record as a lane stores it: a fixed-size header whose
+/// frames sit in the lane's frame arena at [first, first + depth).
+struct StackHeader {
+  std::uint64_t ticks = 0;
+  std::uint64_t region_id = 0;
+  const void* region_fn = nullptr;
+  std::size_t first = 0;
+  std::size_t depth = 0;
+};
+
+/// Append-only sample lane with a single writer: the OS thread that leased
+/// it from a SampleStore (SampleStore::local_buffer()). Growth is amortized
+/// (the paper's "storage" cost the breakdown experiment measures); beyond
+/// the hard cap event samples are dropped and counted, never blocking the
+/// application. Callstack records are not capped. Nothing here takes a
+/// lock; it is not signal-safe (it may grow its vectors), so SIGPROF
+/// samples go to SignalSampleLane.
 class SampleBuffer {
  public:
   /// Set the hard cap and pre-reserve a modest initial block.
@@ -68,9 +79,25 @@ class SampleBuffer {
     }
   }
 
+  /// Owner-only append of a join callstack: a header, plus the frames
+  /// copied into the flat arena.
+  void record_callstack(std::uint64_t ticks, std::uint64_t region_id,
+                        const void* region_fn,
+                        std::span<const void* const> frames) {
+    stacks_.push_back({ticks, region_id, region_fn, frames_.size(),
+                       frames.size()});
+    frames_.insert(frames_.end(), frames.begin(), frames.end());
+  }
+
   /// Quiescent-only: callers read after the writer has joined or handed
   /// its lane back (merge/report paths), so no snapshot copy is taken.
   const std::vector<EventSample>& samples() const noexcept { return samples_; }
+
+  /// Quiescent-only, like samples().
+  const std::vector<StackHeader>& stacks() const noexcept { return stacks_; }
+  std::span<const void* const> frames(const StackHeader& h) const noexcept {
+    return {frames_.data() + h.first, h.depth};
+  }
 
   std::uint64_t dropped() const noexcept {
     return dropped_.load(std::memory_order_relaxed);
@@ -79,12 +106,16 @@ class SampleBuffer {
   /// Quiescent-only, like samples().
   void clear() noexcept {
     samples_.clear();
+    stacks_.clear();
+    frames_.clear();
     dropped_.store(0, std::memory_order_relaxed);
   }
 
  private:
   std::size_t capacity_ = 0;
   std::vector<EventSample> samples_;
+  std::vector<StackHeader> stacks_;
+  std::vector<const void*> frames_;
   std::atomic<std::uint64_t> dropped_{0};
 };
 
@@ -142,27 +173,26 @@ namespace detail {
 struct LanePool;
 }  // namespace detail
 
-/// Per-thread sample storage for one tool session. Event samples go into
-/// single-writer lanes leased per OS thread, not per gtid: several MiniMPI
-/// rank masters all carry gtid 0, and each still gets a lane of its own.
-/// A thread takes a lane on its first local_buffer() and hands it back when
-/// it exits; a later thread reuses it, so lanes are bounded by the number
-/// of recording threads alive at once. Merge, totals and clear() walk every
-/// lane and are quiescent-only.
+/// Per-thread sample storage for one tool session. Event samples and
+/// callstacks go into single-writer lanes leased per OS thread, not per
+/// gtid: several MiniMPI rank masters all carry gtid 0, and each still gets
+/// a lane of its own. A thread takes a lane on its first local_buffer() and
+/// hands it back when it exits; a later thread reuses it, so lanes are
+/// bounded by the number of recording threads alive at once. Merge, totals,
+/// for_each_lane() and clear() walk every lane and are quiescent-only.
 class SampleStore {
  public:
-  /// `callstack_slots` callstack slots (indexed by gtid); every event lane
-  /// is capped at `capacity` samples.
-  SampleStore(std::size_t callstack_slots, std::size_t capacity);
+  /// Every lane is capped at `capacity` event samples.
+  explicit SampleStore(std::size_t capacity);
   ~SampleStore();
   SampleStore(const SampleStore&) = delete;
   SampleStore& operator=(const SampleStore&) = delete;
 
-  /// The calling thread's event lane, leased on first use.
+  /// The calling thread's lane, leased on first use.
   SampleBuffer& local_buffer();
 
-  /// Append a callstack record for gtid `tid` (clamped to the slot range).
-  void record_callstack(int tid, CallstackRecord record);
+  /// Visit every lane created so far, in creation order.
+  void for_each_lane(const std::function<void(const SampleBuffer&)>& fn) const;
 
   /// All event samples, merged across threads, ordered by tick.
   std::vector<EventSample> merged_samples() const;
@@ -172,21 +202,15 @@ class SampleStore {
 
   std::uint64_t total_samples() const;
   std::uint64_t total_dropped() const;
-  /// Event lanes created so far (leased or free).
+  /// Lanes created so far (leased or free).
   std::size_t lanes() const;
 
   void clear();
 
  private:
-  struct CallstackSlot {
-    mutable SpinLock mu;
-    std::vector<CallstackRecord> records;
-  };
-
   /// Shared with every lease, so a thread that outlives the store still
   /// has somewhere to return its lane.
   std::shared_ptr<detail::LanePool> pool_;
-  std::vector<CachePadded<CallstackSlot>> callstack_slots_;
 };
 
 }  // namespace orca::perf

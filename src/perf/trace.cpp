@@ -47,20 +47,18 @@ bool write_trace(const std::string& path, const TraceData& data) {
   if (!write_pod(f.get(), n_samples) || !write_pod(f.get(), n_stacks)) {
     return false;
   }
-  for (const EventSample& s : data.samples) {
-    if (!write_pod(f.get(), s)) return false;
+  if (!write_bytes(f.get(), data.samples.data(),
+                   data.samples.size() * sizeof(EventSample))) {
+    return false;
   }
+  // Addresses go to disk as 64-bit words, the pointers' own representation.
+  static_assert(sizeof(const void*) == sizeof(std::uint64_t));
   for (const CallstackRecord& c : data.callstacks) {
-    if (!write_pod(f.get(), c.ticks) || !write_pod(f.get(), c.region_id)) {
-      return false;
-    }
-    const auto addr = reinterpret_cast<std::uint64_t>(c.region_fn);
-    if (!write_pod(f.get(), addr)) return false;
     const auto depth = static_cast<std::uint64_t>(c.frames.size());
-    if (!write_pod(f.get(), depth)) return false;
-    for (const void* ip : c.frames) {
-      const auto v = reinterpret_cast<std::uint64_t>(ip);
-      if (!write_pod(f.get(), v)) return false;
+    if (!write_pod(f.get(), c.ticks) || !write_pod(f.get(), c.region_id) ||
+        !write_pod(f.get(), c.region_fn) || !write_pod(f.get(), depth) ||
+        !write_bytes(f.get(), c.frames.data(), depth * sizeof(const void*))) {
+      return false;
     }
   }
   return true;
@@ -81,30 +79,24 @@ bool read_trace(const std::string& path, TraceData* out) {
   if (!read_pod(f.get(), &n_samples) || !read_pod(f.get(), &n_stacks)) {
     return false;
   }
-  out->samples.clear();
-  out->samples.reserve(n_samples);
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    EventSample s;
-    if (!read_pod(f.get(), &s)) return false;
-    out->samples.push_back(s);
+  out->samples.resize(n_samples);
+  if (!read_bytes(f.get(), out->samples.data(),
+                  n_samples * sizeof(EventSample))) {
+    return false;
   }
   out->callstacks.clear();
   out->callstacks.reserve(n_stacks);
   for (std::uint64_t i = 0; i < n_stacks; ++i) {
     CallstackRecord c;
-    std::uint64_t addr = 0;
     std::uint64_t depth = 0;
     if (!read_pod(f.get(), &c.ticks) || !read_pod(f.get(), &c.region_id) ||
-        !read_pod(f.get(), &addr) || !read_pod(f.get(), &depth)) {
+        !read_pod(f.get(), &c.region_fn) || !read_pod(f.get(), &depth)) {
       return false;
     }
     if (depth > 1024) return false;  // malformed: implausible stack depth
-    c.region_fn = reinterpret_cast<const void*>(addr);
-    c.frames.reserve(depth);
-    for (std::uint64_t j = 0; j < depth; ++j) {
-      std::uint64_t ip = 0;
-      if (!read_pod(f.get(), &ip)) return false;
-      c.frames.push_back(reinterpret_cast<const void*>(ip));
+    c.frames.resize(depth);
+    if (!read_bytes(f.get(), c.frames.data(), depth * sizeof(const void*))) {
+      return false;
     }
     out->callstacks.push_back(std::move(c));
   }

@@ -1,8 +1,10 @@
 #include "tool/collector_tool.hpp"
 
 #include <algorithm>
+#include <array>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 
 #include "common/strutil.hpp"
 #include "collector/names.hpp"
@@ -25,8 +27,7 @@ void PrototypeCollector::configure(ToolOptions opts) {
   opts_ = std::move(opts);
   counter_ = perf::HwTimeCounter(opts_.counter);
   if (store_ == nullptr) {
-    store_ = std::make_unique<perf::SampleStore>(opts_.thread_slots,
-                                                 opts_.sample_capacity);
+    store_ = std::make_unique<perf::SampleStore>(opts_.sample_capacity);
   }
   client_ = collector::Client::discover();
 }
@@ -88,15 +89,11 @@ bool PrototypeCollector::passes_cheap_filters(std::uint64_t join_ticks) {
   return true;
 }
 
-bool PrototypeCollector::passes_dedup(const std::vector<const void*>& frames) {
+bool PrototypeCollector::passes_dedup(std::span<const void* const> frames) {
   // Calling-context dedup needs the captured stack: store each distinct
   // context once (FNV-1a over the frame addresses).
   if (!opts_.dedup_by_context) return true;
-  std::size_t hash = 0xcbf29ce484222325ULL;
-  for (const void* ip : frames) {
-    hash ^= reinterpret_cast<std::size_t>(ip);
-    hash *= 0x100000001b3ULL;
-  }
+  const std::size_t hash = unwind::hash_frames(frames);
   std::scoped_lock lk(contexts_mu_);
   return seen_contexts_.insert(hash).second;
 }
@@ -105,6 +102,7 @@ void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
   callback_count_.fetch_add(1, std::memory_order_relaxed);
   if (!opts_.measure || store_ == nullptr) return;  // communication-only arm
 
+  perf::SampleBuffer& lane = store_->local_buffer();
   perf::EventSample sample;
   sample.ticks = counter_.read();
   sample.event = static_cast<std::int32_t>(event);
@@ -129,22 +127,20 @@ void PrototypeCollector::on_event(OMP_COLLECTORAPI_EVENT event) {
       if (!passes_cheap_filters(sample.ticks)) {
         filtered_count_.fetch_add(1, std::memory_order_relaxed);
       } else {
-        perf::CallstackRecord record;
-        record.ticks = sample.ticks;
-        record.region_id = sample.region_id;
-        if (opts_.use_region_fn_extension) {
-          record.region_fn = __ompc_get_current_region_fn();
-        }
-        record.frames = unwind::Callstack::capture(/*skip=*/2).to_vector();
-        if (passes_dedup(record.frames)) {
-          store_->record_callstack(sample.tid, std::move(record));
+        const void* region_fn = opts_.use_region_fn_extension
+                                    ? __ompc_get_current_region_fn()
+                                    : nullptr;
+        const unwind::Callstack stack = unwind::Callstack::capture(/*skip=*/2);
+        if (passes_dedup(stack.frames())) {
+          lane.record_callstack(sample.ticks, sample.region_id, region_fn,
+                                stack.frames());
         } else {
           filtered_count_.fetch_add(1, std::memory_order_relaxed);
         }
       }
     }
   }
-  store_->local_buffer().record(sample);
+  lane.record(sample);
 }
 
 perf::TraceData PrototypeCollector::trace_data() const {
@@ -172,93 +168,92 @@ Report PrototypeCollector::finalize() const {
       callback_count_.load(std::memory_order_relaxed);
   if (store_ == nullptr) return report;
 
-  const std::vector<perf::EventSample> samples = store_->merged_samples();
-  report.total_events = samples.size();
-  report.dropped_samples = store_->total_dropped();
-
-  for (const perf::EventSample& s : samples) {
-    ++report.event_counts[s.event];
-  }
-
-  // Pair fork/join on the master thread (both events fire only there) to
-  // produce per-region intervals. Joins carry the region id.
-  std::unordered_map<unsigned long, RegionStats> regions;
-  std::uint64_t open_fork_ticks = 0;
-  bool fork_open = false;
-  for (const perf::EventSample& s : samples) {
-    if (s.tid != 0) continue;
-    if (s.event == OMP_EVENT_FORK) {
-      open_fork_ticks = s.ticks;
-      fork_open = true;
-    } else if (s.event == OMP_EVENT_JOIN && fork_open) {
-      fork_open = false;
-      const double seconds = counter_.to_seconds(s.ticks - open_fork_ticks);
-      RegionStats& r = regions[s.region_id];
-      if (r.invocations == 0) {
-        r.region_id = s.region_id;
-        r.min_seconds = seconds;
-        r.max_seconds = seconds;
-      }
-      ++r.invocations;
-      r.total_seconds += seconds;
-      r.min_seconds = std::min(r.min_seconds, seconds);
-      r.max_seconds = std::max(r.max_seconds, seconds);
+  // End event -> the begin event it closes (FORK -> JOIN among them).
+  constexpr int kEvents = ORCA_EVENT_EXT_LAST;
+  static const std::array<int, kEvents> begin_of = [] {
+    std::array<int, kEvents> table{};
+    for (int b = 1; b < kEvents; ++b) {
+      const auto begin = static_cast<OMP_COLLECTORAPI_EVENT>(b);
+      const int end = collector::matching_end(begin);
+      if (collector::is_begin_event(begin) && end < kEvents) table[end] = b;
     }
-  }
+    return table;
+  }();
+  constexpr std::uint64_t kClosed = ~std::uint64_t{0};
+
+  // A begin and its end fire on one OS thread, so pairing walks each lane
+  // on its own, in recording order: MiniMPI rank masters all carry gtid 0,
+  // but a JOIN never closes another rank's FORK. Regions are the gtid-0
+  // master's fork->join intervals; every other pair adds time-in-construct
+  // per (begin event, tid) (the "OpenMP specific performance metrics" of
+  // Sec. VI — implicit/explicit barrier time, lock wait time, ...).
+  std::unordered_map<unsigned long, RegionStats> regions;
+  std::vector<IntervalStats> intervals;  // [tid * kEvents + begin event]
+  std::vector<std::uint64_t> open;       // same index: begin tick or kClosed
+  unwind::StackTally stacks;
+  store_->for_each_lane([&](const perf::SampleBuffer& lane) {
+    report.total_events += lane.samples().size();
+    report.dropped_samples += lane.dropped();
+    std::fill(open.begin(), open.end(), kClosed);
+    for (const perf::EventSample& s : lane.samples()) {
+      ++report.event_counts[s.event];
+      const auto event = static_cast<OMP_COLLECTORAPI_EVENT>(s.event);
+      const bool fork_join = event == OMP_EVENT_FORK || event == OMP_EVENT_JOIN;
+      if (s.tid < 0 || s.event <= 0 || s.event >= kEvents ||
+          (fork_join && s.tid != 0)) {
+        continue;
+      }
+      const std::size_t base = static_cast<std::size_t>(s.tid) * kEvents;
+      if (open.size() < base + kEvents) open.resize(base + kEvents, kClosed);
+      if (collector::is_begin_event(event)) {
+        open[base + static_cast<std::size_t>(s.event)] = s.ticks;
+        continue;
+      }
+      const int begin = begin_of[static_cast<std::size_t>(s.event)];
+      const std::size_t slot = base + static_cast<std::size_t>(begin);
+      if (begin == 0 || open[slot] == kClosed) continue;  // unpaired end
+      const double seconds =
+          counter_.to_seconds(s.ticks - std::exchange(open[slot], kClosed));
+      if (fork_join) {
+        RegionStats& r = regions[s.region_id];
+        r.region_id = s.region_id;
+        r.min_seconds = r.invocations == 0 ? seconds
+                                           : std::min(r.min_seconds, seconds);
+        r.max_seconds = std::max(r.max_seconds, seconds);
+        ++r.invocations;
+        r.total_seconds += seconds;
+        continue;
+      }
+      if (intervals.size() < open.size()) intervals.resize(open.size());
+      IntervalStats& acc = intervals[slot];
+      acc.begin_event = begin;
+      acc.tid = s.tid;
+      ++acc.intervals;
+      acc.total_seconds += seconds;
+    }
+    for (const perf::StackHeader& h : lane.stacks()) {
+      stacks.add(h.region_fn, lane.frames(h));
+    }
+  });
+
   report.regions.reserve(regions.size());
   for (const auto& [id, stats] : regions) report.regions.push_back(stats);
   std::sort(report.regions.begin(), report.regions.end(),
             [](const RegionStats& a, const RegionStats& b) {
               return a.region_id < b.region_id;
             });
-
-  // Interval metrics: pair each thread's begin/end events and aggregate
-  // time-in-construct (the "OpenMP specific performance metrics" of
-  // Sec. VI — implicit/explicit barrier time, lock wait time, ...).
-  std::map<std::pair<int, int>, std::uint64_t> open_begin;  // (tid,ev)->tick
-  std::map<std::pair<int, int>, IntervalStats> interval_acc;
-  for (const perf::EventSample& s : samples) {
-    const auto event = static_cast<OMP_COLLECTORAPI_EVENT>(s.event);
-    if (event == OMP_EVENT_FORK || event == OMP_EVENT_JOIN) continue;
-    if (collector::is_begin_event(event)) {
-      open_begin[{s.tid, s.event}] = s.ticks;
-      continue;
-    }
-    // Find the begin kind this end closes.
-    for (int b = 1; b < ORCA_EVENT_EXT_LAST; ++b) {
-      const auto begin = static_cast<OMP_COLLECTORAPI_EVENT>(b);
-      if (collector::matching_end(begin) != event) continue;
-      const auto it = open_begin.find({s.tid, b});
-      if (it == open_begin.end()) break;  // unpaired end (attached mid-run)
-      IntervalStats& acc = interval_acc[{b, s.tid}];
-      acc.begin_event = b;
-      acc.tid = s.tid;
-      ++acc.intervals;
-      acc.total_seconds += counter_.to_seconds(s.ticks - it->second);
-      open_begin.erase(it);
-      break;
+  for (std::size_t b = 1; b < kEvents; ++b) {
+    for (std::size_t i = b; i < intervals.size(); i += kEvents) {
+      if (intervals[i].intervals > 0) report.intervals.push_back(intervals[i]);
     }
   }
-  report.intervals.reserve(interval_acc.size());
-  for (const auto& [key, acc] : interval_acc) report.intervals.push_back(acc);
 
-  // User-model callstack profile: reconstruct each join-time stack and
-  // aggregate identical user views (the PerfSuite-extension workflow of
-  // Sec. IV-F).
-  std::map<std::string, std::uint64_t> profile;
-  for (const perf::CallstackRecord& rec : store_->merged_callstacks()) {
-    const unwind::UserCallstack user =
-        unwind::reconstruct(rec.frames, rec.region_fn);
-    ++profile[user.render()];
+  // User-model callstack profile: reconstruct each distinct join-time stack
+  // once and aggregate identical user views (the PerfSuite-extension
+  // workflow of Sec. IV-F).
+  for (auto& [rendered, count] : stacks.profile()) {
+    report.callstack_profile.push_back({std::move(rendered), count});
   }
-  report.callstack_profile.reserve(profile.size());
-  for (const auto& [rendered, count] : profile) {
-    report.callstack_profile.push_back({rendered, count});
-  }
-  std::sort(report.callstack_profile.begin(), report.callstack_profile.end(),
-            [](const CallstackProfileEntry& a, const CallstackProfileEntry& b) {
-              return a.samples > b.samples;
-            });
   return report;
 }
 

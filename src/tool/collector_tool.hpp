@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -81,14 +82,11 @@ struct ToolOptions {
   /// Per-thread event-sample capacity (preallocated; overflow drops).
   std::size_t sample_capacity = 1u << 20;
 
-  /// Callstack slots in the sample store (>= max gtid + 1). Event samples
-  /// need no sizing: each OS thread leases its own lane.
-  std::size_t thread_slots = 65;
-
   perf::CounterSource counter = perf::CounterSource::kTsc;
 };
 
-/// Aggregated per-region statistics (master-thread fork→join intervals).
+/// Aggregated per-region statistics (master-thread fork→join intervals,
+/// paired within each recording thread's lane).
 struct RegionStats {
   unsigned long region_id = 0;
   std::uint64_t invocations = 0;
@@ -162,7 +160,8 @@ class PrototypeCollector {
   bool attached() const noexcept { return attached_; }
 
   /// Offline phase: aggregate samples, pair fork/join intervals, and
-  /// reconstruct the user-model callstack profile.
+  /// reconstruct the user-model callstack profile. Quiescent-only: no
+  /// thread may record while it reads the lanes.
   Report finalize() const;
 
   /// Raw collected data (for the trace-spill workflow and tests).
@@ -191,7 +190,7 @@ class PrototypeCollector {
   bool passes_cheap_filters(std::uint64_t join_ticks);
 
   /// Post-capture filter: calling-context dedup over the frame hash.
-  bool passes_dedup(const std::vector<const void*>& frames);
+  bool passes_dedup(std::span<const void* const> frames);
 
   ToolOptions opts_;
   std::optional<collector::Client> client_;

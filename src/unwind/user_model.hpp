@@ -10,9 +10,16 @@
 /// collector frames, symbolizes the rest, and — when the sample carries the
 /// region's outlined-procedure address — plants the pragma's source
 /// location as the innermost user frame.
+/// StackTally runs it once per distinct raw stack, symbolizing each
+/// instruction pointer once.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "unwind/backtrace.hpp"
@@ -26,9 +33,6 @@ struct UserCallstack {
 
   /// Multi-line rendering, innermost first, one frame per line.
   std::string render() const;
-
-  /// Stable identity for aggregation: the sequence of frame addresses.
-  std::vector<const void*> key() const;
 };
 
 /// Offline reconstruction of one sample.
@@ -41,5 +45,36 @@ struct UserCallstack {
 /// pragma rather than how the compiler outlined it.
 UserCallstack reconstruct(const std::vector<const void*>& raw,
                           const void* region_fn = nullptr);
+
+/// Counts raw stacks by (region_fn, frames): the user-model profile then
+/// reconstructs each distinct stack once.
+class StackTally {
+ public:
+  /// `frames` is not copied: it must stay valid until profile() returns.
+  void add(const void* region_fn, std::span<const void* const> frames) {
+    ++counts_[{region_fn, frames}];
+  }
+
+  /// Rendered user-model stack → samples, summed over raw stacks that
+  /// render alike; most samples first, ties in rendered-string order.
+  std::vector<std::pair<std::string, std::uint64_t>> profile() const;
+
+ private:
+  struct Key {
+    const void* region_fn;
+    std::span<const void* const> frames;
+    bool operator==(const Key& o) const noexcept {
+      return region_fn == o.region_fn &&
+             std::equal(frames.begin(), frames.end(), o.frames.begin(),
+                        o.frames.end());
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      return hash_frames(k.frames, reinterpret_cast<std::size_t>(k.region_fn));
+    }
+  };
+  std::unordered_map<Key, std::uint64_t, KeyHash> counts_;
+};
 
 }  // namespace orca::unwind

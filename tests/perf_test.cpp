@@ -53,7 +53,7 @@ TEST(SampleBuffer, RecordsUntilCapThenDrops) {
 }
 
 TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
-  SampleStore store(4, 100);
+  SampleStore store(100);
   // Three writers alive at once each hold a lane of their own, so the
   // merge spans three lanes.
   std::latch recorded(3);
@@ -76,25 +76,50 @@ TEST(SampleStore, MergesAcrossThreadsSortedByTicks) {
   EXPECT_EQ(store.total_dropped(), 0u);
 }
 
-TEST(SampleStore, TidClampingAndCallstacks) {
-  SampleStore store(2, 10);
-  // Event samples land in the calling thread's lane whatever their tid.
-  store.local_buffer().record({1, 0, 1, 99});
-  store.local_buffer().record({2, 0, 1, -3});
-  EXPECT_EQ(store.total_samples(), 2u);
+// Callstacks go into the recording thread's lane, whatever its gtid: three
+// writers that all carry gtid 0 record at once, and the merge returns every
+// record tick-sorted with its frames as recorded.
+TEST(SampleStore, SameTidThreadsKeepEveryCallstackIntact) {
+  constexpr std::uint64_t kThreads = 3;
+  constexpr std::uint64_t kPerThread = 200;
+  auto ip = [](std::uint64_t tick, std::uint64_t k) {
+    return reinterpret_cast<const void*>(0x1000 + tick * 16 + k);
+  };
+  SampleStore store(16);
+  std::latch start(kThreads);
+  std::latch done(kThreads);  // no writer hands its lane on early
+  std::vector<std::thread> writers;
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t tick = i * kThreads + t;  // interleaved
+        std::vector<const void*> frames;
+        for (std::uint64_t k = 0; k <= tick % 7; ++k) frames.push_back(ip(tick, k));
+        store.local_buffer().record_callstack(tick, tick + 1, ip(t, 0), frames);
+        store.local_buffer().record({tick, 0, 2, 0});
+      }
+      done.arrive_and_wait();
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(store.lanes(), kThreads);
 
-  CallstackRecord rec;
-  rec.ticks = 5;
-  rec.region_id = 7;
-  rec.frames = {reinterpret_cast<const void*>(0x10),
-                reinterpret_cast<const void*>(0x20)};
-  store.record_callstack(99, rec);                // clamps to last slot
-  store.record_callstack(-3, {3, 1, nullptr, {}});  // clamps to slot 0
   const auto stacks = store.merged_callstacks();
-  ASSERT_EQ(stacks.size(), 2u);
-  EXPECT_EQ(stacks[0].ticks, 3u);  // sorted by ticks
-  EXPECT_EQ(stacks[1].region_id, 7u);
-  EXPECT_EQ(stacks[1].frames.size(), 2u);
+  ASSERT_EQ(stacks.size(), kThreads * kPerThread);
+  for (std::uint64_t tick = 0; tick < stacks.size(); ++tick) {
+    const CallstackRecord& rec = stacks[tick];
+    ASSERT_EQ(rec.ticks, tick);
+    EXPECT_EQ(rec.region_id, tick + 1);
+    EXPECT_EQ(rec.region_fn, ip(tick % kThreads, 0));
+    ASSERT_EQ(rec.frames.size(), tick % 7 + 1);
+    for (std::uint64_t k = 0; k < rec.frames.size(); ++k) {
+      EXPECT_EQ(rec.frames[k], ip(tick, k)) << "tick " << tick << " frame " << k;
+    }
+  }
+  // Event samples are capped per lane; callstack records are not.
+  EXPECT_EQ(store.total_samples(), kThreads * 16);
+  EXPECT_EQ(store.total_dropped(), kThreads * (kPerThread - 16));
 
   store.clear();
   EXPECT_EQ(store.total_samples(), 0u);
@@ -105,7 +130,7 @@ TEST(SampleStore, TidClampingAndCallstacks) {
 // neither may lose a sample to the other.
 TEST(SampleStore, ConcurrentSameTidWritersDropNothing) {
   constexpr int kPerThread = 20000;
-  SampleStore store(1, 1u << 20);
+  SampleStore store(1u << 20);
   std::latch start(2);
   auto writer = [&] {
     start.arrive_and_wait();
@@ -123,7 +148,7 @@ TEST(SampleStore, ConcurrentSameTidWritersDropNothing) {
 }
 
 TEST(SampleStore, ExitedThreadsHandTheirLanesOn) {
-  SampleStore store(1, 16);
+  SampleStore store(16);
   for (std::uint64_t i = 0; i < 3; ++i) {
     std::thread([&store, i] { store.local_buffer().record({i, 0, 1, 0}); })
         .join();
@@ -135,7 +160,7 @@ TEST(SampleStore, ExitedThreadsHandTheirLanesOn) {
 }
 
 TEST(SampleStore, ThreadOutlivingTheStoreStillReturnsItsLane) {
-  auto store = std::make_unique<SampleStore>(1, 16);
+  auto store = std::make_unique<SampleStore>(16);
   std::latch recorded(2);
   std::latch store_gone(1);
   std::thread t([&] {
@@ -150,7 +175,7 @@ TEST(SampleStore, ThreadOutlivingTheStoreStillReturnsItsLane) {
   t.join();  // the lease hands its lane back to the orphaned pool
 
   // A store created afterwards never sees a stale lane of the old one.
-  SampleStore next(1, 16);
+  SampleStore next(16);
   next.local_buffer().record({2, 0, 1, 0});
   EXPECT_EQ(next.total_samples(), 1u);
   EXPECT_EQ(next.lanes(), 1u);

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <mutex>
 #include <string>
+#include <vector>
 
 #include "runtime/runtime.hpp"
+#include "translate/omp.hpp"
 #include "translate/region_registry.hpp"
 #include "unwind/backtrace.hpp"
 #include "unwind/symbolize.hpp"
@@ -43,18 +46,97 @@ TEST(Backtrace, DepthGrowsWithRecursion) {
   EXPECT_GT(deep.depth(), shallow.depth());
 }
 
+struct SkipPair {
+  Callstack full;
+  Callstack skipped;
+};
+
+__attribute__((noinline)) SkipPair capture_pair(int depth) {
+  if (depth > 0) {
+    SkipPair pair = capture_pair(depth - 1);
+    EXPECT_LE(pair.full.depth(), kMaxFrames);  // no tail-call folding
+    return pair;
+  }
+  return {Callstack::capture(0), Callstack::capture(1)};
+}
+
 TEST(Backtrace, SkipDropsInnermostFrames) {
-  const Callstack full = Callstack::capture(0);
-  const Callstack skipped = Callstack::capture(1);
+  // Captured a few frames below the test body: gtest's own frames have no
+  // frame pointers, so a walk ends at the return address into gtest.
+  const auto [full, skipped] = capture_pair(3);
   ASSERT_GT(full.depth(), 2u);
-  // Skipping one frame shifts the stack by one. The innermost retained
-  // frame may differ between the two captures (it is the return address
-  // of *this* function's two distinct call sites when the sanitizer
-  // runtime intercepts backtrace(3)), so compare from the second frame up
-  // where both stacks walk the same callers.
+  // Frame 0 of capture(0) is the return address into capture_pair, one per
+  // call site, so the two captures differ there. capture(1) drops it: its
+  // frame 0 is the return address into capture_pair's caller, and from
+  // there on both walks read the same frame records.
   EXPECT_EQ(skipped.depth() + 1, full.depth());
-  for (std::size_t i = 1; i < skipped.depth(); ++i) {
+  for (std::size_t i = 0; i < skipped.depth(); ++i) {
     EXPECT_EQ(skipped.frame(i), full.frame(i + 1)) << "frame " << i;
+  }
+}
+
+TEST(Backtrace, RecursionDeeperThanTheCapIsCapped) {
+  const Callstack cs = deeper(static_cast<int>(kMaxFrames) + 16);
+  EXPECT_EQ(cs.depth(), kMaxFrames);
+  for (std::size_t i = 0; i < cs.depth(); ++i) EXPECT_NE(cs.frame(i), nullptr);
+}
+
+TEST(Backtrace, CapturesOnPoolWorkerThreads) {
+  orca::rt::RuntimeConfig cfg;
+  cfg.num_threads = 3;
+  orca::rt::Runtime rt(cfg);
+  orca::rt::Runtime::make_current(&rt);
+  std::mutex mu;
+  std::vector<Callstack> stacks;
+  for (int round = 0; round < 4; ++round) {
+    orca::omp::parallel([&](int) {
+      const Callstack cs = capture_here();
+      std::scoped_lock lk(mu);
+      stacks.push_back(cs);
+    }, 3);
+  }
+  orca::rt::Runtime::make_current(nullptr);
+  ASSERT_EQ(stacks.size(), 12u);
+  for (const Callstack& cs : stacks) {
+    // capture_here's caller (the region body) and its callers in the
+    // runtime's fork or worker loop all have frame records.
+    ASSERT_GE(cs.depth(), 3u);
+    EXPECT_EQ(symbolize(cs.frame(0)).module, symbolize(cs.frame(1)).module);
+    bool runtime_frame = false;
+    for (std::size_t i = 0; i < cs.depth(); ++i) {
+      ASSERT_NE(cs.frame(i), nullptr);
+      runtime_frame = runtime_frame || is_runtime_frame(symbolize(cs.frame(i)));
+    }
+    EXPECT_TRUE(runtime_frame);
+  }
+}
+
+// libc's qsort is built without frame pointers: the walk from inside the
+// comparator reads its caller's frame-pointer register as left by libc.
+Callstack g_in_comparator;
+
+__attribute__((noinline)) int compare_and_capture(const void* a,
+                                                  const void* b) {
+  g_in_comparator = Callstack::capture();
+  const int x = *static_cast<const int*>(a);
+  const int y = *static_cast<const int*>(b);
+  return (x > y) - (x < y);
+}
+
+TEST(Backtrace, WalkThroughFrameWithoutFramePointerEndsCleanly) {
+  int values[] = {5, 3, 9, 1, 7, 2, 8};
+  std::qsort(values, std::size(values), sizeof(int), &compare_and_capture);
+  EXPECT_EQ(values[0], 1);
+  const Callstack& cs = g_in_comparator;
+  ASSERT_GE(cs.depth(), 2u);
+  EXPECT_LE(cs.depth(), kMaxFrames);
+  // Frame 0 lies in the comparator; frame 1 is the return address into
+  // libc's sort routine, read from the comparator's own frame record.
+  const SymbolInfo caller = symbolize(cs.frame(1));
+  EXPECT_NE(caller.module.find("libc"), std::string::npos) << caller.pretty();
+  for (std::size_t i = 0; i < cs.depth(); ++i) {
+    EXPECT_NE(cs.frame(i), nullptr);
+    (void)symbolize(cs.frame(i));  // whatever the walk kept is safe to map
   }
 }
 
@@ -67,9 +149,6 @@ TEST(Backtrace, ToVectorCopiesFramesNotIterators) {
   for (std::size_t i = 0; i < vec.size(); ++i) {
     EXPECT_EQ(vec[i], cs.frame(i));
   }
-  const Callstack round = Callstack::from_frames(vec);
-  EXPECT_EQ(round.depth(), cs.depth());
-  EXPECT_EQ(round.frame(0), cs.frame(0));
 }
 
 TEST(Backtrace, OutOfRangeFrameIsNull) {
@@ -159,7 +238,6 @@ TEST(UserModel, StripsRuntimeFramesAndPlantsRegion) {
   }
   const std::string rendered = user.render();
   EXPECT_NE(rendered.find("app.cpp:7"), std::string::npos);
-  EXPECT_EQ(user.key().size(), user.frames.size());
 }
 
 TEST(UserModel, WithoutRegionFnKeepsUserFramesOnly) {
